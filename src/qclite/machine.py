@@ -5,6 +5,10 @@ bit of a basis index.  Only the low `materialized` qubits are physically held
 in the amplitude array; every qubit above that range is free and therefore
 exactly |0>, which keeps a 32-qubit machine cheap while only a handful of
 qubits are in use.
+
+The kernels view 2^n amplitudes as shape (2,)*n, qubit q on axis n-1-q, and
+fix a qubit's value by indexing its axis: a gate with k controls updates only
+the 2^(n-k) amplitudes whose control bits are set, in place, through views.
 """
 
 from __future__ import annotations
@@ -97,43 +101,46 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     raise ValueError(f"no 2x2 matrix for gate kind {kind!r}")
 
 
+def _fixed(amp: np.ndarray, bits: dict[int, int]) -> np.ndarray:
+    """View of the amplitudes whose qubit q is bits[q]; trailing axes are kept."""
+    n = amp.shape[0].bit_length() - 1
+    index = [slice(None)] * n
+    for q, b in bits.items():
+        index[n - 1 - q] = b
+    return amp.reshape((2,) * n + amp.shape[1:], copy=False)[(*index, ...)]
+
+
 def apply_gate(amp: np.ndarray, g: PrimitiveGate) -> None:
-    """Apply one primitive gate in place to an amplitude array of length 2^n."""
-    size = amp.size
-    idx = np.arange(size)
+    """Apply one primitive gate in place to 2^n amplitudes, or to each column of 2^n rows."""
+    on = dict.fromkeys(g.controls, 1)
     if g.kind == "PHASE":
-        if g.controls:
-            mask = np.ones(size, dtype=bool)
-            for c in g.controls:
-                mask &= ((idx >> c) & 1) == 1
-            amp[mask] *= cmath.exp(1j * g.param)
-        else:
-            amp *= cmath.exp(1j * g.param)
+        _fixed(amp, on)[...] *= cmath.exp(1j * g.param)
         return
-    t = g.target
-    mask = ((idx >> t) & 1) == 0
-    for c in g.controls:
-        mask &= ((idx >> c) & 1) == 1
-    i0 = idx[mask]
-    i1 = i0 | (1 << t)
-    m = gate_matrix(g.kind, g.param)
-    a0 = amp[i0]
-    a1 = amp[i1]
-    amp[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    amp[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    v0 = _fixed(amp, {**on, g.target: 0})
+    v1 = _fixed(amp, {**on, g.target: 1})
+    if g.kind == "H":
+        v0 += v1
+        v1 *= -2.0
+        v1 += v0                    # a0 - a1
+        _fixed(amp, on)[...] *= _SQRT_HALF
+    elif g.kind == "X":
+        v0[...], v1[...] = v1, v0.copy()     # the right side is built first
+    elif g.kind == "ROT":
+        c, s = math.cos(g.param / 2.0), math.sin(g.param / 2.0)
+        sa0 = s * v0
+        v0 *= c
+        v0 += s * v1
+        v1 *= c
+        v1 -= sa0
+    else:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
 def tape_matrix(tape, n_qubits: int) -> np.ndarray:
-    """Assemble the 2^n x 2^n matrix of a tape by applying it to each basis state."""
-    dim = 1 << n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    gates = list(tape)
-    for k in range(dim):
-        vec = np.zeros(dim, dtype=complex)
-        vec[k] = 1.0
-        for g in gates:
-            apply_gate(vec, g)
-        out[:, k] = vec
+    """The 2^n x 2^n matrix of a tape: the tape applied to every column of the identity."""
+    out = np.eye(1 << n_qubits, dtype=complex)
+    for g in tape:
+        apply_gate(out, g)
     return out
 
 
@@ -192,9 +199,11 @@ class MachineState:
         if not self.is_empty_register(reg):
             raise RegisterError("cannot free a register that is not empty")
         self.allocated.difference_update(reg.qubits)
+        top = self.materialized
         while self.materialized > 0 and (self.materialized - 1) not in self.allocated:
             self.materialized -= 1
-        self.amp = self.amp[: 1 << self.materialized].copy()
+        if self.materialized < top:
+            self.amp = self.amp[: 1 << self.materialized].copy()
 
     # -- evolution -----------------------------------------------------------
 
@@ -220,11 +229,7 @@ class MachineState:
         outcome = 0
         for i, q in enumerate(reg.qubits):
             outcome |= ((picked >> q) & 1) << i
-        idx = np.arange(self.amp.size)
-        keep = np.ones(self.amp.size, dtype=bool)
-        for i, q in enumerate(reg.qubits):
-            keep &= ((idx >> q) & 1) == ((outcome >> i) & 1)
-        self.amp[~keep] = 0.0
+            _fixed(self.amp, {q: 1 - ((picked >> q) & 1)})[...] = 0.0
         self.amp /= np.linalg.norm(self.amp)
         self.version += 1
         return outcome
@@ -239,14 +244,9 @@ class MachineState:
 
     def is_empty_register(self, reg: RegisterMap) -> bool:
         """True iff every significant amplitude has all register bits zero."""
-        low = [q for q in reg.qubits if q < self.materialized]
-        if not low:
-            return True
-        idx = np.arange(self.amp.size)
-        hit = np.zeros(self.amp.size, dtype=bool)
-        for q in low:
-            hit |= ((idx >> q) & 1) == 1
-        return not np.any(np.abs(self.amp[hit]) > EMPTY_TOL)
+        zero = _fixed(self.amp, {q: 0 for q in reg.qubits if q < self.materialized})
+        return (np.count_nonzero(np.abs(self.amp) > EMPTY_TOL)
+                == np.count_nonzero(np.abs(zero) > EMPTY_TOL))
 
     def state_terms(self) -> list[tuple[int, complex]]:
         """Significant (index, amplitude) pairs, by descending magnitude then index."""

@@ -1,10 +1,11 @@
 """Machine-state behaviour: allocation, gates, measurement, dumps, register algebra."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qclite import (AllocationError, RegisterError, MachineState, PrimitiveGate,
                     RegisterMap, adjoint_of_tape, tape_matrix)
@@ -58,6 +59,16 @@ class TestAllocation:
         m.free_register(r)
         with pytest.raises(RegisterError):
             m.free_register(r)
+
+    def test_free_below_the_top_keeps_the_state(self):
+        m = MachineState(8)
+        low, middle, high = m.allocate_register(2), m.allocate_register(1), m.allocate_register(2)
+        for q in low.qubits + high.qubits:
+            m.apply_primitive(g("H", target=q))
+        amp, before = m.amp, m.amp.copy()
+        m.free_register(middle)
+        assert m.amp is amp and m.materialized == 5
+        assert np.array_equal(m.amp, before)
 
     def test_dense_limit(self):
         m = MachineState(32, dense_limit=4)
@@ -363,3 +374,106 @@ def test_apply_gate_matches_kron_expansion():
     apply_gate(mine, g("H", target=1))
     expected = np.kron(np.eye(2), np.kron(gate_matrix("H"), np.eye(2))) @ vec
     assert np.allclose(mine, expected, atol=1e-12)
+
+
+# -- kernels against per-index loops -----------------------------------------
+
+def loop_matrix(gate, n):
+    """The 2^n x 2^n matrix of one gate, built one basis index at a time."""
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i in range(1 << n):
+        if not all((i >> c) & 1 for c in gate.controls):
+            out[i, i] = 1.0
+        elif gate.kind == "PHASE":
+            out[i, i] = cmath.exp(1j * gate.param)
+        else:
+            bit = (i >> gate.target) & 1
+            u = gate_matrix(gate.kind, gate.param)
+            for b in (0, 1):
+                out[i ^ ((bit ^ b) << gate.target), i] = u[b, bit]
+    return out
+
+
+@st.composite
+def gates_on_states(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["X", "H", "ROT", "PHASE"]))
+    qubits = draw(st.permutations(range(n)))
+    target = None if kind == "PHASE" else qubits.pop()
+    controls = qubits[: draw(st.integers(0, len(qubits)))]
+    param = None if kind in ("X", "H") else draw(st.floats(-7.0, 7.0))
+    return n, g(kind, param, target, controls), draw(st.integers(0, 2**32 - 1))
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return vec / np.linalg.norm(vec)
+
+
+# target and controls cover every qubit, so the gate's views are 0-d
+@example((3, g("X", None, 1, (0, 2)), 1))
+@example((2, g("H", None, 0, (1,)), 2))
+@example((2, g("PHASE", 0.5, None, (0, 1)), 3))
+@example((1, g("ROT", 1.1, 0), 4))
+@settings(max_examples=150, deadline=None)
+@given(gates_on_states())
+def test_apply_gate_matches_loop_matrix(case):
+    n, gate, seed = case
+    vec = random_state(n, seed)
+    mine = vec.copy()
+    apply_gate(mine, gate)
+    assert np.max(np.abs(mine - loop_matrix(gate, n) @ vec)) < 1e-12
+
+
+@st.composite
+def registers_on_states(draw, spare):
+    """n, a register over qubits 0..n+spare-1, and a seed."""
+    n = draw(st.integers(1, 8))
+    qubits = draw(st.permutations(range(n + spare)))
+    return n, qubits[: draw(st.integers(1, n + spare))], draw(st.integers(0, 2**32 - 1))
+
+
+def machine_holding(n, seed):
+    """A machine with qubits 0..n-1 allocated in a random state, two free qubits above."""
+    m = MachineState(n + 2, seed=seed)
+    m.allocate_register(n)
+    m.amp[:] = random_state(n, seed)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(registers_on_states(spare=0))
+def test_measure_matches_loop_collapse(case):
+    n, qubits, seed = case
+    m = machine_holding(n, seed)
+    amp = m.amp.copy()
+    draw = np.random.default_rng(seed).random() * np.cumsum(np.abs(amp) ** 2)[-1]
+    total, picked = 0.0, len(amp) - 1
+    for i, a in enumerate(amp):
+        total += abs(a) ** 2
+        if total > draw:
+            picked = i
+            break
+    for i in range(len(amp)):
+        if any((i >> q) & 1 != (picked >> q) & 1 for q in qubits):
+            amp[i] = 0.0
+    outcome = m.measure_register(RegisterMap(tuple(qubits)))
+    assert outcome == sum(((picked >> q) & 1) << k for k, q in enumerate(qubits))
+    assert np.max(np.abs(m.amp - amp / np.linalg.norm(amp))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(registers_on_states(spare=2), st.booleans())
+def test_is_empty_matches_loop(case, confined):
+    n, qubits, seed = case
+    m = machine_holding(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    for i in range(m.amp.size):
+        # sparse states, some of them confined to the register's zero slice
+        hit = any((i >> q) & 1 for q in qubits)
+        if (confined and hit) or rng.random() < 0.7:
+            m.amp[i] = rng.choice([0.0, 1e-10])
+    empty = all(abs(m.amp[i]) <= 1e-9 for i in range(m.amp.size)
+                if any((i >> q) & 1 for q in qubits))
+    assert m.is_empty_register(RegisterMap(tuple(qubits))) == empty
