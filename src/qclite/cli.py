@@ -53,6 +53,11 @@ def repl_loop(session: Session, stdin=None) -> int:
                 out.write(f"! {err}\n")
         except QclError as err:
             out.write(f"! {err}\n")
+        except Exception as err:
+            # a defect in qclite, not in the input: report it and keep reading
+            import traceback    # here: imported with the module it costs every process 0.1 MB
+            out.write(f"! internal error: {type(err).__name__}: {err}\n")
+            traceback.print_exc(file=sys.stderr)
 
 
 def run_script(path: str, session: Session) -> int:

@@ -9,6 +9,20 @@ compute / copy-out / uncompute form with a transparently allocated auxiliary
 register.  Operator and qufunct bodies run in continuation-passing style so a
 forking conditional can continue each classical path through the remainder of
 the body before the next path starts.
+
+Operator and qufunct calls replay recorded tapes.  When a call's body did
+nothing but emit gates (no allocation or free, no emptiness check that ran, no
+fork, no random draw, measurement or output), its realized gates are stored on
+the `ProgramState` under a key of the routine, the bound parameter values (a
+register by its qubits and quantum type, a classical value by its type and
+bits) and the calling context's enable, guard and apply mode.  A later call
+with the same key skips the body and pushes the stored gates through the
+machine.  The key is complete because operator, qufunct and function bodies
+are pure: they resolve names through `ProgramState.consts`, which holds only
+the global constants, never global variables or registers, so their gates
+depend on nothing else.  Rebinding a routine or a global constant, which only
+unchecked trees can do, clears the store; past `TAPE_CACHE_ENTRIES` entries or
+`TAPE_CACHE_GATES` stored gates nothing more is stored.
 """
 
 from __future__ import annotations
@@ -28,8 +42,8 @@ LEVELS = {"procedure": LEVEL_PROCEDURE, "operator": LEVEL_OPERATOR,
           "qufunct": LEVEL_QUFUNCT, "function": LEVEL_FUNCTION}
 
 FORK_PATH_LIMIT = 1 << 16
-
-GateTape = list  # ordered sequence of PrimitiveGate
+TAPE_CACHE_ENTRIES = 4096
+TAPE_CACHE_GATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class Recorder:
     __slots__ = ("gates", "temps")
 
     def __init__(self):
-        self.gates: GateTape = []
+        self.gates: list[PrimitiveGate] = []
         self.temps: list[RegisterMap] = []
 
 
@@ -158,15 +172,18 @@ class ExecContext:
     # -- transparent registers -------------------------------------------------
 
     def alloc_temp(self, size: int) -> RegisterMap:
+        self.prog.effects += 1
         return self.machine.allocate_register(size)
 
     def release_temp(self, reg: RegisterMap) -> None:
+        self.prog.effects += 1
         if self.apply:
             self.machine.free_register(reg)
         else:
             self.recorder.temps.append(reg)
 
     def note_fork(self) -> None:
+        self.prog.effects += 1
         self.fork_cell[0] += 1
         if self.fork_cell[0] > FORK_PATH_LIMIT:
             raise QclRuntimeError(
@@ -179,16 +196,32 @@ class ProgramState:
     def __init__(self, machine: MachineState, out=None, checks: bool = True):
         self.machine = machine
         self.routines: dict[str, ast.Routine] = {}
+        # the names operator, qufunct and function bodies can see
+        self.consts = Env(is_global=True)
+        self.consts.vars.update(pi=math.pi, true=True, false=False)
         self.global_env = Env(is_global=True)
-        self.global_env.define("pi", math.pi)
-        self.global_env.define("true", True)
-        self.global_env.define("false", False)
+        self.global_env.vars.update(self.consts.vars)
         self.out = out if out is not None else sys.stdout
         self.checks = checks
         self.rng = machine.rng
+        self.tapes: dict[tuple, tuple[PrimitiveGate, ...]] = {}
+        self.tape_gates = 0
+        self.effects = 0    # bumped by every step that a replayed tape would skip
 
     def write(self, text: str) -> None:
+        self.effects += 1
         self.out.write(text)
+
+    def store_tape(self, key: tuple, gates) -> None:
+        """Keep a pure call's realized gates while both caps allow; never evict."""
+        if (len(self.tapes) < TAPE_CACHE_ENTRIES
+                and self.tape_gates + len(gates) <= TAPE_CACHE_GATES):
+            self.tapes[key] = tuple(gates)
+            self.tape_gates += len(gates)
+
+    def clear_tapes(self) -> None:
+        self.tapes.clear()
+        self.tape_gates = 0
 
 
 class Interpreter:
@@ -208,9 +241,15 @@ class Interpreter:
 
     def exec_item(self, item, ctx: ExecContext) -> None:
         if isinstance(item, ast.Routine):
+            if item.name in self.prog.routines:
+                self.prog.clear_tapes()
             self.prog.routines[item.name] = item
-        else:
-            self.exec_stmt(item, ctx)
+            return
+        self.exec_stmt(item, ctx)
+        if isinstance(item, ast.ConstDecl):
+            if item.name in self.prog.consts.vars:
+                self.prog.clear_tapes()
+            self.prog.consts.define(item.name, ctx.env.get(item.name))
 
     # -- plain statement execution ---------------------------------------------
 
@@ -269,10 +308,12 @@ class Interpreter:
                 self.exec_block(stmt.body, ctx)
         elif isinstance(stmt, ast.Measure):
             rv = self.eval_register(stmt.target, ctx)
+            self.prog.effects += 1
             outcome = ctx.machine.measure_register(rv.reg)
             if stmt.var is not None:
                 ctx.env.set(stmt.var, outcome)
         elif isinstance(stmt, ast.Reset):
+            self.prog.effects += 1
             ctx.machine.reset_state()
         elif isinstance(stmt, ast.Dump):
             header, terms = ctx.machine.format_dump().split("\n")
@@ -302,7 +343,7 @@ class Interpreter:
 
     def declare_register(self, stmt: ast.RegDecl, ctx: ExecContext) -> None:
         size = self._eval_int(stmt.size, ctx)
-        reg = ctx.machine.allocate_register(size)
+        reg = ctx.alloc_temp(size)
         rv = RegisterValue(reg, stmt.qtype)
         ctx.env.define(stmt.name, rv)
         if not ctx.env.is_global:
@@ -460,7 +501,8 @@ class Interpreter:
             b.emitter(ctx, cvals, regs)
 
     def _enter_routine(self, decl: ast.Routine, args, ctx: ExecContext) -> None:
-        env = Env(self.prog.global_env)
+        level = LEVELS[decl.kind]
+        env = Env(self.prog.global_env if level == LEVEL_PROCEDURE else self.prog.consts)
         scratch_args: list[tuple[str, RegisterValue]] = []
         target: tuple[str, RegisterValue] | None = None
         for p, value in zip(decl.params, args):
@@ -476,14 +518,34 @@ class Interpreter:
                     target = (p.name, bound)
             else:
                 env.define(p.name, self._coerce(p.type, value))
-        sub = ctx.child(level=LEVELS[decl.kind], env=env)
+        sub = ctx.child(level=level, env=env)
         if scratch_args:
             self._call_with_scratch(decl, sub, ctx, target, scratch_args)
             return
         if target is not None:
             self._check_empty(target[1].reg,
                               f"quvoid argument '{target[0]}' of '{decl.name}'", ctx)
-        self.run_body(decl, sub)
+        if level == LEVEL_PROCEDURE:
+            self.run_body(decl, sub)
+        else:
+            self._run_pure_body(decl, sub)
+
+    def _run_pure_body(self, decl: ast.Routine, ctx: ExecContext) -> None:
+        """Replay the stored tape of this call, or run the body and store its tape."""
+        prog = self.prog
+        key = (id(decl), ctx.enable, ctx.guarded, ctx.apply,
+               *map(_value_key, ctx.env.vars.values()))
+        tape = prog.tapes.get(key)
+        if tape is not None:
+            ctx.recorder.gates.extend(tape)
+            if ctx.apply:
+                for g in tape:
+                    prog.machine.apply_primitive(g)
+            return
+        start, effects = len(ctx.recorder.gates), prog.effects
+        self.run_body(decl, ctx)
+        if prog.effects == effects:
+            prog.store_tape(key, ctx.recorder.gates[start:])
 
     def _call_with_scratch(self, decl: ast.Routine, sub: ExecContext,
                            ctx: ExecContext, target, scratch_args) -> None:
@@ -519,11 +581,12 @@ class Interpreter:
     def _check_empty(self, reg: RegisterMap, what: str, ctx: ExecContext) -> None:
         if not ctx.apply or not self.prog.checks:
             return
+        self.prog.effects += 1
         if not ctx.machine.is_empty_register(reg):
             raise QclRuntimeError(f"{what} is not empty")
 
     def call_function(self, decl: ast.Routine, args, ctx: ExecContext):
-        env = Env(self.prog.global_env)
+        env = Env(self.prog.consts)
         for p, value in zip(decl.params, args):
             env.define(p.name, self._coerce(p.type, value))
         sub = ctx.child(level=LEVEL_FUNCTION, env=env)
@@ -563,6 +626,7 @@ class Interpreter:
 
     def _eval_call(self, expr: ast.Call, ctx: ExecContext):
         if expr.name == "random":
+            self.prog.effects += 1
             return float(self.prog.rng.random())
         decl = self.prog.routines.get(expr.name)
         if decl is None or decl.ret_type is None:
@@ -718,12 +782,18 @@ class Interpreter:
         raise TypeError(f"cannot print {type(value).__name__}")
 
 
+def _value_key(value):
+    """Cache key of a bound value; floats by their bits, so 0.0 and -0.0 differ."""
+    if isinstance(value, RegisterValue):
+        return value.reg.qubits, value.qtype
+    if isinstance(value, float):
+        return float, value.hex()
+    if isinstance(value, complex):
+        return complex, value.real.hex(), value.imag.hex()
+    return type(value), value
+
+
 def run_program(tree: ast.Program, prog: ProgramState) -> None:
     """Execute a statically checked program against fresh top-level context."""
     interp = Interpreter(prog)
     interp.run_items(tree.items, interp.top_context())
-
-
-def uncompute_scratch(interp: Interpreter, name: str, arg_exprs, ctx: ExecContext) -> None:
-    """Call a quscratch-declaring subroutine; kept as a named entry point."""
-    interp.call_subroutine(name, arg_exprs, False, ctx)

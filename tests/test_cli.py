@@ -108,6 +108,16 @@ class TestReplBehaviour:
         assert "! runtime error" in output
         assert "division by zero" in output
 
+    def test_internal_error_keeps_loop_alive(self, capsys):
+        # the 1500-iteration qufunct loop overflows the Python stack
+        _, output = run_repl("qureg x[1];\n"
+                             "qufunct f(qureg x) { int i; for i = 1 to 1500 { Not(x); } }\n"
+                             "f(x);\n"
+                             "print 1;\n", qubits=4, echo=False)
+        assert "qcl> f(x);\n! internal error: RecursionError: " in output
+        assert output.endswith("qcl> print 1;\n1\nqcl> \n")
+        assert "Traceback" in capsys.readouterr().err
+
     def test_exit_statement(self):
         status, output = run_repl("exit;\nqureg q[1];\n")
         assert status == 0
