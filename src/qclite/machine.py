@@ -9,12 +9,17 @@ qubits are in use.
 The kernels view 2^n amplitudes as shape (2,)*n, qubit q on axis n-1-q, and
 fix a qubit's value by indexing its axis: a gate with k controls updates only
 the 2^(n-k) amplitudes whose control bits are set, in place, through views.
+
+Echo and dump print the terms with |amplitude| > PRINT_TOL, largest first, ties
+by index.  The sort key np.hypot(re, im) equals Python's abs(complex) bit for
+bit; np.abs on complex128 can be one ulp off and would reorder near-tied terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,13 +255,28 @@ class MachineState:
 
     def state_terms(self) -> list[tuple[int, complex]]:
         """Significant (index, amplitude) pairs, by descending magnitude then index."""
-        mags = np.abs(self.amp)
-        terms = [(int(i), complex(self.amp[i])) for i in np.nonzero(mags > PRINT_TOL)[0]]
-        terms.sort(key=lambda item: (-abs(item[1]), item[0]))
-        return terms
+        idx, amps, _ = self.print_terms(())
+        return list(zip(idx.tolist(), amps))
 
-    def ket_bits(self, index: int, qubits) -> str:
-        return "".join("1" if (index >> q) & 1 else "0" for q in qubits)
+    def print_terms(self, qubits) -> tuple[np.ndarray, Iterator[complex], list[str]]:
+        """Significant terms in print order: basis indices, amplitudes (lazily) and kets.
+
+        Each ket spells the bits of `qubits` (all below `materialized`) in order:
+        one line of a uint8 character matrix filled a qubit column at a time.
+        """
+        idx = np.nonzero(np.abs(self.amp) > PRINT_TOL)[0]
+        # float parts, not a complex copy: echo-sized temporaries stay in NumPy's cache
+        re, im = self.amp.real[idx], self.amp.imag[idx]
+        order = np.argsort(-np.hypot(re, im), kind="stable")
+        idx = idx[order]
+        chars = np.zeros((idx.size, len(qubits) + 1), dtype=np.uint8)
+        for col, q in enumerate(qubits):
+            chars[:, col] = idx >> q          # the low byte holds the bit
+        chars &= 1
+        chars |= ord("0")
+        chars[:, -1] = ord("\n")
+        amps = map(complex, re[order].tolist(), im[order].tolist())
+        return idx, amps, chars.tobytes().decode("ascii").splitlines()
 
     def format_dump(self) -> str:
         """Two-line state dump over all machine qubits, qubit 0 rightmost."""
@@ -265,8 +285,7 @@ class MachineState:
             f"STATE: {a} / {self.total} qubits allocated, "
             f"{self.total - a} / {self.total} qubits free"
         )
-        order = list(range(self.total - 1, -1, -1))
-        terms = " + ".join(
-            f"{format_amplitude(c)} |{self.ket_bits(i, order)}>" for i, c in self.state_terms()
-        )
+        free = "0" * (self.total - self.materialized)
+        _, amps, kets = self.print_terms(range(self.materialized - 1, -1, -1))
+        terms = " + ".join(f"{format_amplitude(c)} |{free}{ket}>" for c, ket in zip(amps, kets))
         return header + "\n" + terms

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .checks import Checker
 from .errors import StaticErrorList
-from .interp import ExecContext, Interpreter, ProgramState, Recorder
+from .interp import Interpreter, ProgramState
 from .machine import MachineState, format_amplitude
 from .syntax import parse_interactive, parse_source
 
@@ -43,8 +43,7 @@ class Session:
             raise StaticErrorList(errors)
         for item in items:
             before = self.machine.version
-            ctx = ExecContext(self.prog, 3, self.prog.global_env, Recorder())
-            self.interp.exec_item(item, ctx)
+            self.interp.exec_item(item, self.interp.top_context())
             if echo and self.machine.version != before:
                 self.prog.write(self.echo_state() + "\n")
 
@@ -54,19 +53,11 @@ class Session:
 
     def run_source(self, source: str) -> None:
         """Parse, check and execute a whole script; scripts never echo."""
-        tree = parse_source(source)
-        errors = self.checker.check_items(tree.items)
-        if errors:
-            raise StaticErrorList(errors)
-        for item in tree.items:
-            ctx = ExecContext(self.prog, 3, self.prog.global_env, Recorder())
-            self.interp.exec_item(item, ctx)
+        self.execute_items(parse_source(source).items, echo=False)
 
     def echo_state(self) -> str:
         """One-line state echo restricted to allocated qubits, qubit 0 rightmost."""
         allocated = sorted(self.machine.allocated, reverse=True)
-        terms = " + ".join(
-            f"{format_amplitude(c)} |{self.machine.ket_bits(i, allocated)}>"
-            for i, c in self.machine.state_terms()
-        )
+        _, amps, kets = self.machine.print_terms(allocated)
+        terms = " + ".join(f"{format_amplitude(c)} |{ket}>" for c, ket in zip(amps, kets))
         return f"[{len(allocated)}/{self.machine.total}] {terms}"
