@@ -10,8 +10,8 @@ from .interp import (ExecContext, ForkPath, Interpreter, ProgramState, Recorder,
 from .machine import (MachineState, PrimitiveGate, RegisterMap, adjoint_of_tape,
                       apply_gate, format_amplitude, gate_matrix, tape_matrix)
 from .qcond import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, SynthPlan,
-                    ZhegalkinPoly, cond_support, cond_truth, conditionalize_tape,
-                    exec_forking_if, exec_quantum_if, synthesize_enable, to_xdnf)
+                    ZhegalkinPoly, cond_support, cond_truth, exec_forking_if,
+                    exec_quantum_if, synthesize_enable, to_xdnf)
 from .session import Session, SessionConfig
 from .syntax import (Program, Token, parse_interactive, parse_program, parse_source,
                      tokenize, unparse)

@@ -6,9 +6,31 @@ in the amplitude array; every qubit above that range is free and therefore
 exactly |0>, which keeps a 32-qubit machine cheap while only a handful of
 qubits are in use.
 
-The kernels view 2^n amplitudes as shape (2,)*n, qubit q on axis n-1-q, and
-fix a qubit's value by indexing its axis: a gate with k controls updates only
-the 2^(n-k) amplitudes whose control bits are set, in place, through views.
+The kernels fix qubits through views.  A view's reshape has an axis of 2 for
+each qubit it fixes, most significant first, and one axis for each run of free
+qubits between them; indexing the fixed axes selects the amplitudes.  A gate
+with k controls thus updates only the 2^(n-k) amplitudes whose control bits
+are set, in place.  apply_gate caches the plans of its views (the controls'
+view, and for a targeted gate the halves v0 and v1) per (shape, target,
+controls), and runs its ufuncs in C order over them.  When the lowest free run
+is shorter than 16 amplitudes, the lowest run of at least 16 is moved
+innermost, so NumPy's inner loop stays long.  H and PHASE allocate nothing; X
+copies one half view to swap, and ROT builds two half-view products.
+
+NumPy buffers a ufunc over a strided view of two or more axes: it copies the
+operands through 8192-element buffers (385 KB for one H on 16 qubits) and runs
+several times slower than the unbuffered loop.  For arrays of 2^14 amplitudes
+or more, apply_gate therefore sets the ufunc buffer to 128 elements: a view
+whose inner run holds 128 amplitudes or more is then iterated in place, and a
+shorter one goes through buffers of a few KB.  Below 2^14 the copies cost less
+than setting and restoring the size (about 5 us).  np.setbufsize is NumPy-wide,
+and a small buffer slows any ufunc that must cast (an int32 + float64 add of
+2^16 elements takes about 1.5x as long), so the kernel restores the caller's
+size in a finally block.
+
+measure_register and is_empty_register take their views from the same plans.
+A measurement draws its outcome from the running sum of |amp|^2 a chunk at a
+time, holding one chunk's sums rather than the whole state's.
 
 Echo and dump print the terms with |amplitude| > PRINT_TOL, largest first, ties
 by index.  The sort key np.hypot(re, im) equals Python's abs(complex) bit for
@@ -17,7 +39,9 @@ bit; np.abs on complex128 can be one ulp off and would reorder near-tied terms.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -28,6 +52,7 @@ from .errors import AllocationError, RegisterError
 
 EMPTY_TOL = 1e-9
 PRINT_TOL = 1e-8
+_DRAW_CHUNK = 8192            # amplitudes a measurement's draw squares and sums at a time
 
 
 @dataclass(frozen=True)
@@ -106,39 +131,95 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     raise ValueError(f"no 2x2 matrix for gate kind {kind!r}")
 
 
+_SHORT_RUN = 16                 # an axis shorter than this makes a poor inner loop
+_SCOPED_BUFFER_SIZE = 1 << 14   # arrays this large run their gates on a small ufunc buffer
+_GATE_BUFSIZE = 128             # elements
+
+
+def _view_plan(shape: tuple[int, ...], bits: dict[int, int]):
+    """Reshape, index and axis order of the view where each qubit q is bits[q].
+
+    The reshape has an axis of 2 for each fixed qubit, most significant first,
+    and one axis for each run of free qubits between them; trailing axes of the
+    array join the run below qubit 0.  When the lowest run is shorter than
+    _SHORT_RUN, the lowest run of at least _SHORT_RUN is moved innermost.
+    """
+    dims: list[int] = []
+    index: list = []
+    runs: list[int] = []
+    run = 1
+    for q in range(shape[0].bit_length() - 2, -1, -1):
+        if q not in bits:
+            run *= 2
+            continue
+        if run > 1:
+            dims.append(run)
+            index.append(slice(None))
+            runs.append(run)
+        dims.append(2)
+        index.append(bits[q])
+        run = 1
+    run *= math.prod(shape[1:])
+    if run > 1:
+        dims.append(run)
+        index.append(slice(None))
+        runs.append(run)
+    order = list(range(len(runs)))
+    if runs and runs[-1] < _SHORT_RUN:
+        long = [k for k, d in enumerate(runs) if d >= _SHORT_RUN]
+        if long:
+            order.append(order.pop(long[-1]))
+    return tuple(dims), (*index, ...), tuple(order)
+
+
+def _view(amp: np.ndarray, plan) -> np.ndarray:
+    dims, index, order = plan
+    return amp.reshape(dims, copy=False)[index].transpose(order)
+
+
 def _fixed(amp: np.ndarray, bits: dict[int, int]) -> np.ndarray:
-    """View of the amplitudes whose qubit q is bits[q]; trailing axes are kept."""
-    n = amp.shape[0].bit_length() - 1
-    index = [slice(None)] * n
-    for q, b in bits.items():
-        index[n - 1 - q] = b
-    return amp.reshape((2,) * n + amp.shape[1:], copy=False)[(*index, ...)]
+    """View of the amplitudes whose qubit q is bits[q]."""
+    return _view(amp, _view_plan(amp.shape, bits))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gate_plan(shape: tuple[int, ...], target: int | None, controls: frozenset[int]):
+    """View plans of one gate: the controls' view, then for a targeted gate its two halves."""
+    on = dict.fromkeys(controls, 1)
+    if target is None:
+        return (_view_plan(shape, on),)
+    return tuple(_view_plan(shape, bits) for bits in (on, {**on, target: 0}, {**on, target: 1}))
 
 
 def apply_gate(amp: np.ndarray, g: PrimitiveGate) -> None:
     """Apply one primitive gate in place to 2^n amplitudes, or to each column of 2^n rows."""
-    on = dict.fromkeys(g.controls, 1)
-    if g.kind == "PHASE":
-        _fixed(amp, on)[...] *= cmath.exp(1j * g.param)
-        return
-    v0 = _fixed(amp, {**on, g.target: 0})
-    v1 = _fixed(amp, {**on, g.target: 1})
-    if g.kind == "H":
-        v0 += v1
-        v1 *= -2.0
-        v1 += v0                    # a0 - a1
-        _fixed(amp, on)[...] *= _SQRT_HALF
-    elif g.kind == "X":
-        v0[...], v1[...] = v1, v0.copy()     # the right side is built first
-    elif g.kind == "ROT":
-        c, s = math.cos(g.param / 2.0), math.sin(g.param / 2.0)
-        sa0 = s * v0
-        v0 *= c
-        v0 += s * v1
-        v1 *= c
-        v1 -= sa0
-    else:
-        raise ValueError(f"unknown gate kind {g.kind!r}")
+    on, *halves = (_view(amp, plan) for plan in _gate_plan(amp.shape, g.target, g.controls))
+    bufsize = np.setbufsize(_GATE_BUFSIZE) if amp.size >= _SCOPED_BUFFER_SIZE else None
+    try:
+        if g.kind == "PHASE":
+            np.multiply(on, cmath.exp(1j * g.param), out=on, order="C")
+        elif g.kind == "H":
+            v0, v1 = halves
+            np.add(v0, v1, out=v0, order="C")
+            np.multiply(v1, -2.0, out=v1, order="C")
+            np.add(v1, v0, out=v1, order="C")                  # a0 - a1
+            np.multiply(on, _SQRT_HALF, out=on, order="C")
+        elif g.kind == "X":
+            v0, v1 = halves
+            v0[...], v1[...] = v1, v0.copy()     # the right side is built first
+        elif g.kind == "ROT":
+            v0, v1 = halves
+            c, s = math.cos(g.param / 2.0), math.sin(g.param / 2.0)
+            sa0 = np.multiply(s, v0, order="C")
+            np.multiply(v0, c, out=v0, order="C")
+            np.add(v0, np.multiply(s, v1, order="C"), out=v0, order="C")
+            np.multiply(v1, c, out=v1, order="C")
+            np.subtract(v1, sa0, out=v1, order="C")
+        else:
+            raise ValueError(f"unknown gate kind {g.kind!r}")
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
 
 
 def tape_matrix(tape, n_qubits: int) -> np.ndarray:
@@ -226,11 +307,7 @@ class MachineState:
         for q in reg.qubits:
             if q not in self.allocated:
                 raise RegisterError(f"qubit {q} is not allocated")
-        prob = np.abs(self.amp) ** 2
-        cum = np.cumsum(prob)
-        draw = self.rng.random() * cum[-1]
-        picked = int(np.searchsorted(cum, draw, side="right"))
-        picked = min(picked, self.amp.size - 1)
+        picked = self._draw_index()
         outcome = 0
         for i, q in enumerate(reg.qubits):
             outcome |= ((picked >> q) & 1) << i
@@ -238,6 +315,37 @@ class MachineState:
         self.amp /= np.linalg.norm(self.amp)
         self.version += 1
         return outcome
+
+    def _draw_index(self) -> int:
+        """A basis index drawn with probability |amp|^2, _DRAW_CHUNK amplitudes at a time.
+
+        Bit for bit the index that np.searchsorted(np.cumsum(np.abs(amp) ** 2),
+        u * total, side="right") gives: each chunk's cumsum starts from the
+        running sum, so every partial sum is the same float.  Only the sum at
+        each chunk's end is kept, and the drawn chunk is summed again.
+        """
+        amp = self.amp
+        buf = np.empty(min(amp.size, _DRAW_CHUNK) + 1)
+
+        def partial_sums(start: int, carry) -> np.ndarray:
+            seg = amp[start : start + _DRAW_CHUNK]
+            out = buf[: seg.size + 1]
+            out[0] = carry
+            np.abs(seg, out=out[1:])
+            np.square(out[1:], out=out[1:])
+            return np.add.accumulate(out, out=out)[1:]
+
+        ends = []
+        for start in range(0, amp.size, _DRAW_CHUNK):
+            sums = partial_sums(start, ends[-1] if ends else 0.0)
+            ends.append(sums[-1])
+        draw = self.rng.random() * ends[-1]
+        k = bisect.bisect_right(ends, draw)
+        if k == len(ends):
+            return amp.size - 1
+        if k < len(ends) - 1:                   # buf holds the last chunk's sums
+            sums = partial_sums(k * _DRAW_CHUNK, ends[k - 1] if k else 0.0)
+        return k * _DRAW_CHUNK + int(sums.searchsorted(draw, side="right"))
 
     def reset_state(self) -> None:
         """Collapse the whole machine to |0...0>; the allocation mask is untouched."""

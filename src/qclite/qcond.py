@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import QclRuntimeError, RegisterError
+from .errors import QclRuntimeError
 from .machine import PrimitiveGate, RegisterMap, adjoint_of_tape
 
 
@@ -205,25 +205,6 @@ def synthesize_enable(poly: ZhegalkinPoly, machine, force_scratch: bool = False)
     for m in monomials:
         gates.append(PrimitiveGate("X", None, e, frozenset(m)))
     return SynthPlan((e,), tuple(gates), scratch)
-
-
-def conditionalize_tape(tape, enable) -> list[PrimitiveGate]:
-    """Grow every gate's control set by the enable qubits.
-
-    The enable qubits must be disjoint from every target and control already
-    on the tape; an operator under a condition may not touch the qubits that
-    condition is built from.
-    """
-    enable = frozenset(enable)
-    out = []
-    for g in tape:
-        used = set(g.controls)
-        if g.target is not None:
-            used.add(g.target)
-        if used & enable:
-            raise RegisterError("conditioned operation overlaps its enable qubits")
-        out.append(PrimitiveGate(g.kind, g.param, g.target, g.controls | enable))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclite import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, PrimitiveGate,
-                    RegisterError, SynthPlan, ZhegalkinPoly, cond_truth,
-                    conditionalize_tape, synthesize_enable, tape_matrix, to_xdnf)
+from qclite import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, ExecContext,
+                    Recorder, RegisterError, SynthPlan, ZhegalkinPoly, cond_truth,
+                    parse_interactive, synthesize_enable, tape_matrix, to_xdnf)
 from qclite.machine import MachineState
+from qclite.stdgates import LEVEL_PROCEDURE
 from conftest import make_session, routine_matrix
 
 
@@ -160,36 +161,16 @@ class TestSynthesizeEnable:
 
 
 class TestConditionalizeTape:
-    def test_controls_grow(self):
-        tape = [PrimitiveGate("X", None, 0, frozenset()),
-                PrimitiveGate("PHASE", 0.5, None, frozenset({1}))]
-        out = conditionalize_tape(tape, {4, 5})
-        assert out[0].controls == frozenset({4, 5})
-        assert out[1].controls == frozenset({1, 4, 5})
-
-    def test_empty_enable_unchanged(self):
-        tape = [PrimitiveGate("H", None, 2, frozenset({0}))]
-        assert conditionalize_tape(tape, ()) == tape
-
-    def test_overlap_rejected(self):
-        tape = [PrimitiveGate("X", None, 0, frozenset({1}))]
-        with pytest.raises(RegisterError):
-            conditionalize_tape(tape, {0})
-        with pytest.raises(RegisterError):
-            conditionalize_tape(tape, {1})
-
     def test_block_diagonal_structure(self, corpus):
-        # conditioned increment acts as identity wherever the enable bit is 0
+        # the recorded tape of a quantum if acts as identity wherever the enable bit is 0
         inc_matrix = routine_matrix(corpus["inc.qcl"], "qureg x[3];", "inc(x);", 3)
         s = make_session()
-        s.run_source(corpus["inc.qcl"])
-        s.run_line("qureg x[3];")
-        from qclite.interp import ExecContext, Recorder
-        from qclite.syntax import Name
-        ctx = ExecContext(s.prog, 3, s.prog.global_env, Recorder(), apply=False)
-        s.interp.call_subroutine("inc", [Name("x")], False, ctx)
-        conditioned = conditionalize_tape(ctx.recorder.gates, {3})
-        matrix = tape_matrix(conditioned, 4)
+        s.run_source(corpus["inc_cond.qcl"])
+        s.run_line("qureg x[3]; qureg e[1];")
+        ctx = ExecContext(s.prog, LEVEL_PROCEDURE, s.prog.global_env, Recorder(), apply=False)
+        for stmt in parse_interactive("if e { inc(x); }"):
+            s.interp.exec_stmt(stmt, ctx)
+        matrix = tape_matrix(ctx.recorder.gates, 4)
         expected = np.eye(16, dtype=complex)
         expected[8:, 8:] = inc_matrix
         assert np.max(np.abs(matrix - expected)) < 1e-9
