@@ -5,8 +5,8 @@ from importlib import resources
 from .checks import Checker, check_static_semantics
 from .errors import (AllocationError, ExitSession, LexError, ParseError, QclError,
                      QclRuntimeError, RegisterError, StaticError, StaticErrorList)
-from .interp import (ExecContext, ForkPath, Interpreter, ProgramState, Recorder,
-                     RegisterValue, run_program)
+from .interp import (ExecContext, Interpreter, ProgramState, Recorder, RegisterValue,
+                     run_program)
 from .machine import (MachineState, PrimitiveGate, RegisterMap, adjoint_of_tape,
                       apply_gate, format_amplitude, gate_matrix, tape_matrix)
 from .qcond import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, SynthPlan,

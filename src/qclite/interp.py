@@ -6,9 +6,17 @@ applies it to the machine unless the context is in a deferred (record-only)
 mode.  Inverted calls record the callee's tape first and then apply its
 adjoint; subroutines with a quscratch parameter are rewritten on the fly into
 compute / copy-out / uncompute form with a transparently allocated auxiliary
-register.  Operator and qufunct bodies run in continuation-passing style so a
-forking conditional can continue each classical path through the remainder of
-the body before the next path starts.
+register.
+
+Statements run in one loop over an explicit stack of running blocks (`Block`):
+a branch or a loop iteration pushes or restarts a block instead of nesting a
+Python call, so loop length and fork depth are bounded by memory, not by the
+Python stack.  Only routine calls and quantum `if` branches nest frames; the
+recursion limit is raised for the length of one top-level item.  A forking
+`if` in an operator or qufunct body ends its path and queues both branches on
+a worklist owned by `Interpreter.run_body`; each branch runs the rest of the
+body on a copy of the block stack and its scopes, then-path first and depth
+first, under its branch condition's enable.
 
 Operator and qufunct calls replay recorded tapes.  When a call's body did
 nothing but emit gates (no allocation or free, no emptiness check that ran, no
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import qcond, syntax as ast
 from .errors import (ExitSession, QclRuntimeError, RegisterError, ReturnSignal)
@@ -42,6 +51,7 @@ LEVELS = {"procedure": LEVEL_PROCEDURE, "operator": LEVEL_OPERATOR,
           "qufunct": LEVEL_QUFUNCT, "function": LEVEL_FUNCTION}
 
 FORK_PATH_LIMIT = 1 << 16
+RECURSION_LIMIT = 10000
 TAPE_CACHE_ENTRIES = 4096
 TAPE_CACHE_GATES = 1 << 16
 
@@ -98,15 +108,28 @@ class Env:
         return copy
 
 
-@dataclass(frozen=True)
-class ForkPath:
-    """One classical execution path: its frame and accumulated branch conditions."""
+@dataclass(slots=True)
+class Block:
+    """One running block: its statements, its scope, the statement that opened
+    it with the values a `for` opener has still to take, and the next index."""
 
-    frame: Env
-    conds: tuple = ()
+    stmts: list
+    env: Env
+    opener: object = None
+    counter: range | None = None
+    index: int = 0
 
-    def fork(self, cond) -> ForkPath:
-        return ForkPath(self.frame.fork(), self.conds + (cond,))
+
+def _fork_path(path: list, stmts, opener) -> list:
+    """A copy of the block stack `path`, on a copy of its scope chain, continued by
+    the branch `stmts` of the forking `if` statement `opener`."""
+    env = path[-1].env.fork()
+    stack = [Block(stmts or (), Env(env), opener)]
+    for block in reversed(path):
+        stack.append(Block(block.stmts, env, block.opener, block.counter, block.index))
+        env = env.parent
+    stack.reverse()
+    return stack
 
 
 class Recorder:
@@ -129,7 +152,6 @@ class ExecContext:
     enable: frozenset[int] = frozenset()
     guarded: frozenset[int] = frozenset()
     fork_cell: list = field(default_factory=lambda: [0])
-    deferred_frees: list = field(default_factory=list)
     _enable_stack: list = field(default_factory=list)
 
     @property
@@ -139,7 +161,6 @@ class ExecContext:
     def child(self, **changes) -> "ExecContext":
         ctx = replace(self, **changes)
         ctx._enable_stack = []
-        ctx.deferred_frees = []
         return ctx
 
     # -- gate pipeline -------------------------------------------------------
@@ -227,8 +248,6 @@ class ProgramState:
 class Interpreter:
     def __init__(self, prog: ProgramState):
         self.prog = prog
-        if sys.getrecursionlimit() < 10000:
-            sys.setrecursionlimit(10000)
 
     def top_context(self) -> ExecContext:
         return ExecContext(self.prog, LEVEL_PROCEDURE, self.prog.global_env, Recorder())
@@ -245,35 +264,134 @@ class Interpreter:
                 self.prog.clear_tapes()
             self.prog.routines[item.name] = item
             return
-        self.exec_stmt(item, ctx)
+        # routine calls nest Python frames; the raised limit holds for this item only
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+        try:
+            self.exec_stmt(item, ctx)
+        except RecursionError:
+            raise QclRuntimeError("subroutine calls nested too deeply",
+                                  item.line, item.column) from None
+        finally:
+            sys.setrecursionlimit(limit)
         if isinstance(item, ast.ConstDecl):
             if item.name in self.prog.consts.vars:
                 self.prog.clear_tapes()
             self.prog.consts.define(item.name, ctx.env.get(item.name))
 
-    # -- plain statement execution ---------------------------------------------
-
-    def exec_block(self, stmts, ctx: ExecContext) -> None:
-        inner = ctx.child(env=Env(ctx.env))
-        for stmt in stmts:
-            self.exec_stmt(stmt, inner)
-        self._close_scope(inner)
-
-    def _close_scope(self, ctx: ExecContext) -> None:
-        for name, rv in reversed(ctx.env.local_regs):
-            try:
-                ctx.release_temp(rv.reg)
-            except RegisterError:
-                raise QclRuntimeError(
-                    f"local register '{name}' is not empty at the end of its scope")
+    # -- statement execution ------------------------------------------------------
 
     def exec_stmt(self, stmt, ctx: ExecContext) -> None:
+        """Run one top-level statement; compound statements go through `_run`."""
+        if isinstance(stmt, (ast.If, ast.For, ast.While)):
+            self._run([Block((stmt,), ctx.env)], ctx)
+            return
         try:
             self._exec_stmt(stmt, ctx)
         except QclRuntimeError as err:
             if err.line is None:
                 err.line, err.column = stmt.line, stmt.column
             raise
+
+    def run_body(self, decl: ast.Routine, ctx: ExecContext) -> None:
+        """Run a procedure, operator or qufunct body in the parameter scope `ctx.env`.
+
+        Operator and qufunct bodies may fork.  Their locals are released once
+        every path has ended, because the paths share the registers declared
+        before a fork.
+        """
+        work: list = []
+        frees = None if LEVELS[decl.kind] == LEVEL_PROCEDURE else {}
+        self._run([Block(decl.body, ctx.env)], ctx, work, frees)
+        while work:
+            # a path's enable steps: the first step computes the enable and runs
+            # the path, queuing its forks on top; the second uncomputes it
+            if next(work[-1], True):
+                work.pop()
+        for name, rv in frees or ():
+            self._release_local(name, rv, ctx)
+
+    def _run(self, stack: list, ctx: ExecContext, work=None, frees=None) -> None:
+        """Run one path's blocks, top of `stack` first, until the path ends or forks.
+
+        A quantum `if` runs each branch in a nested run under its enable; a
+        forking one queues both paths on the worklist `work` and ends this one.
+        A closed block's local registers are released at once, or collected in
+        `frees` when that is given.
+        """
+        outer = ctx.env
+        stmt = None
+        try:
+            while stack:
+                block = stack[-1]
+                if block.index == len(block.stmts):
+                    stmt = block.opener
+                    self._end_block(stack, block, ctx, frees)
+                    continue
+                stmt = block.stmts[block.index]
+                block.index += 1
+                env = ctx.env = block.env
+                if isinstance(stmt, ast.If):
+                    poly = qcond.to_xdnf(self.eval_cond(stmt.cond, ctx))
+                    if poly.is_true() or poly.is_false():
+                        branch = stmt.then if poly.const else stmt.orelse
+                        if branch is not None:
+                            stack.append(Block(branch, Env(env), stmt))
+                    elif stmt.forking:
+                        qcond.exec_forking_if(
+                            ctx, stack, poly, stmt.then, stmt.orelse,
+                            lambda stmts, path, join: self._run(
+                                _fork_path(path, stmts, stmt), ctx, join, frees),
+                            work)
+                        break
+                    else:
+                        qcond.exec_quantum_if(ctx, poly, *(
+                            partial(self._run, [Block(branch, Env(env), stmt)], ctx)
+                            for branch in (stmt.then, stmt.orelse) if branch is not None))
+                elif isinstance(stmt, ast.For):
+                    start = self._eval_int(stmt.start, ctx)
+                    stop = self._eval_int(stmt.stop, ctx)
+                    step = self._eval_int(stmt.step, ctx) if stmt.step is not None else 1
+                    if step == 0:
+                        raise QclRuntimeError("for step must not be zero")
+                    values = range(start, stop + 1 if step > 0 else stop - 1, step)
+                    # pushed as finished, so `_end_block` starts the first iteration
+                    stack.append(Block(stmt.body, Env(env), stmt, values, len(stmt.body)))
+                elif isinstance(stmt, ast.While):
+                    stack.append(Block(stmt.body, Env(env), stmt, None, len(stmt.body)))
+                else:
+                    self._exec_stmt(stmt, ctx)
+        except QclRuntimeError as err:
+            if err.line is None and stmt is not None:
+                err.line, err.column = stmt.line, stmt.column
+            raise
+        ctx.env = outer
+
+    def _end_block(self, stack: list, block: Block, ctx: ExecContext, frees) -> None:
+        """Close a finished block's scope; restart it for its loop's next iteration
+        or pop it."""
+        if frees is None:
+            for name, rv in reversed(block.env.local_regs):
+                self._release_local(name, rv, ctx)
+        else:
+            frees.update(dict.fromkeys(block.env.local_regs))
+        stmt = block.opener
+        ctx.env = parent = block.env.parent
+        if isinstance(stmt, ast.For) and block.counter:
+            parent.set(stmt.var, block.counter[0])
+            block.counter = block.counter[1:]
+        elif not (isinstance(stmt, ast.While) and self._eval_bool(stmt.cond, ctx)):
+            stack.pop()
+            return
+        block.env = Env(parent)
+        block.index = 0
+
+    def _release_local(self, name: str, rv: RegisterValue, ctx: ExecContext) -> None:
+        try:
+            ctx.release_temp(rv.reg)
+        except RegisterError:
+            raise QclRuntimeError(
+                f"local register '{name}' is not empty at the end of its scope")
 
     def _exec_stmt(self, stmt, ctx: ExecContext) -> None:
         if isinstance(stmt, ast.VarDecl):
@@ -294,18 +412,6 @@ class Interpreter:
             env.vars[stmt.name] = self._coerce_like(current, value)
         elif isinstance(stmt, ast.CallStmt):
             self.call_subroutine(stmt.name, stmt.args, stmt.invert, ctx)
-        elif isinstance(stmt, ast.If):
-            cond = self.eval_cond(stmt.cond, ctx)
-            run_else = None
-            if stmt.orelse is not None:
-                run_else = lambda: self.exec_block(stmt.orelse, ctx)
-            qcond.exec_quantum_if(ctx, cond, lambda: self.exec_block(stmt.then, ctx),
-                                  run_else)
-        elif isinstance(stmt, ast.For):
-            self._exec_for(stmt, ctx)
-        elif isinstance(stmt, ast.While):
-            while self._eval_bool(stmt.cond, ctx):
-                self.exec_block(stmt.body, ctx)
         elif isinstance(stmt, ast.Measure):
             rv = self.eval_register(stmt.target, ctx)
             self.prog.effects += 1
@@ -329,18 +435,6 @@ class Interpreter:
         else:
             raise TypeError(f"unhandled statement {type(stmt).__name__}")
 
-    def _exec_for(self, stmt: ast.For, ctx: ExecContext) -> None:
-        start = self._eval_int(stmt.start, ctx)
-        stop = self._eval_int(stmt.stop, ctx)
-        step = self._eval_int(stmt.step, ctx) if stmt.step is not None else 1
-        if step == 0:
-            raise QclRuntimeError("for step must not be zero")
-        i = start
-        while (i <= stop) if step > 0 else (i >= stop):
-            ctx.env.set(stmt.var, i)
-            self.exec_block(stmt.body, ctx)
-            i += step
-
     def declare_register(self, stmt: ast.RegDecl, ctx: ExecContext) -> None:
         size = self._eval_int(stmt.size, ctx)
         reg = ctx.alloc_temp(size)
@@ -348,107 +442,6 @@ class Interpreter:
         ctx.env.define(stmt.name, rv)
         if not ctx.env.is_global:
             ctx.env.local_regs.append((stmt.name, rv))
-
-    # -- continuation-passing execution for operator/qufunct bodies -------------
-
-    def run_body(self, decl: ast.Routine, ctx: ExecContext) -> None:
-        if LEVELS[decl.kind] in (LEVEL_OPERATOR, LEVEL_QUFUNCT):
-            path = ForkPath(ctx.env)
-            self._cps_block(decl.body, path, ctx, lambda p: None)
-            for name, rv in ctx.deferred_frees:
-                try:
-                    ctx.release_temp(rv.reg)
-                except RegisterError:
-                    raise QclRuntimeError(
-                        f"local register '{name}' is not empty at the end of its scope")
-        else:
-            for stmt in decl.body:
-                self.exec_stmt(stmt, ctx)
-            self._close_scope(ctx)
-
-    def _cps_block(self, stmts, path: ForkPath, ctx: ExecContext, k) -> None:
-        scope = Env(path.frame)
-        inner = ForkPath(scope, path.conds)
-
-        def leave(p: ForkPath) -> None:
-            for item in p.frame.local_regs:
-                if item not in ctx.deferred_frees:
-                    ctx.deferred_frees.append(item)
-            k(ForkPath(p.frame.parent, p.conds))
-
-        self._cps_seq(stmts, 0, inner, ctx, leave)
-
-    def _cps_seq(self, stmts, i: int, path: ForkPath, ctx: ExecContext, k) -> None:
-        if i == len(stmts):
-            k(path)
-            return
-        self._cps_stmt(stmts[i], path, ctx,
-                       lambda p: self._cps_seq(stmts, i + 1, p, ctx, k))
-
-    def _cps_stmt(self, stmt, path: ForkPath, ctx: ExecContext, k) -> None:
-        ctx.env = path.frame
-        if isinstance(stmt, ast.If):
-            self._cps_if(stmt, path, ctx, k)
-        elif isinstance(stmt, ast.For):
-            self._cps_for(stmt, path, ctx, k)
-        elif isinstance(stmt, ast.While):
-            self._cps_while(stmt, path, ctx, k)
-        else:
-            self.exec_stmt(stmt, ctx)
-            k(path)
-
-    def _cps_if(self, stmt: ast.If, path: ForkPath, ctx: ExecContext, k) -> None:
-        cond = self.eval_cond(stmt.cond, ctx)
-        if stmt.forking:
-            def run_block(block, p, join):
-                self._cps_block(block, p, ctx, join)
-
-            qcond.exec_forking_if(ctx, path, cond, stmt.then, stmt.orelse,
-                                  run_block, k)
-            return
-        poly = qcond.to_xdnf(cond)
-        if poly.is_false():
-            if stmt.orelse is not None:
-                self._cps_block(stmt.orelse, path, ctx, k)
-            else:
-                k(path)
-            return
-        if poly.is_true():
-            self._cps_block(stmt.then, path, ctx, k)
-            return
-        # quantum condition with fork-free branches: plain block execution
-        run_else = None
-        if stmt.orelse is not None:
-            run_else = lambda: self.exec_block(stmt.orelse, ctx)
-        qcond.exec_quantum_if(ctx, cond, lambda: self.exec_block(stmt.then, ctx),
-                              run_else)
-        k(path)
-
-    def _cps_for(self, stmt: ast.For, path: ForkPath, ctx: ExecContext, k) -> None:
-        start = self._eval_int(stmt.start, ctx)
-        stop = self._eval_int(stmt.stop, ctx)
-        step = self._eval_int(stmt.step, ctx) if stmt.step is not None else 1
-        if step == 0:
-            raise QclRuntimeError("for step must not be zero")
-
-        def iterate(i: int, p: ForkPath) -> None:
-            if (i > stop) if step > 0 else (i < stop):
-                k(p)
-                return
-            p.frame.set(stmt.var, i)
-            self._cps_block(stmt.body, p, ctx, lambda p2: iterate(i + step, p2))
-
-        iterate(start, path)
-
-    def _cps_while(self, stmt: ast.While, path: ForkPath, ctx: ExecContext, k) -> None:
-        def iterate(p: ForkPath) -> None:
-            ctx.env = p.frame
-            if self._eval_bool(stmt.cond, ctx):
-                self._cps_block(stmt.body, p, ctx, iterate)
-            else:
-                k(p)
-
-        iterate(path)
 
     # -- calls ------------------------------------------------------------------
 
@@ -591,8 +584,7 @@ class Interpreter:
             env.define(p.name, self._coerce(p.type, value))
         sub = ctx.child(level=LEVEL_FUNCTION, env=env)
         try:
-            for stmt in decl.body:
-                self.exec_stmt(stmt, sub)
+            self._run([Block(decl.body, env)], sub)
         except ReturnSignal as ret:
             return self._coerce(decl.ret_type, ret.value)
         raise QclRuntimeError(f"function '{decl.name}' did not return a value")

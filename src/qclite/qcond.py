@@ -7,15 +7,18 @@ anything else is accumulated into one transparently allocated scratch qubit by
 a CNot sequence (one controlled flip per monomial, plus an initial flip for
 the constant term).  The same plan, run in reverse, uncomputes the scratch.
 
-Forking executes both classical paths of a conditional whose branches change
-classical state: each path gets a cloned frame, its branch condition is pushed
-as an enable plan for the *remainder* of the subroutine, and the paths are
-serialized true-branch first, depth first.
+Both kinds of quantum `if` take a non-constant polynomial and share one
+compute / run / flip / uncompute helper.  A plain one runs its branches under
+the enable at once.  A forking one, whose branches change classical state,
+queues each branch as a path on the interpreter's worklist; the path's enable
+covers the *remainder* of the subroutine and is uncomputed after every path
+it forks, and the paths run then-branch first, depth first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import QclRuntimeError
 from .machine import PrimitiveGate, RegisterMap, adjoint_of_tape
@@ -211,74 +214,54 @@ def synthesize_enable(poly: ZhegalkinPoly, machine, force_scratch: bool = False)
 # Quantum if execution
 # --------------------------------------------------------------------------
 
-def exec_quantum_if(ctx, cond: CondExpr, run_then, run_else=None) -> None:
-    """Run a conditional block pair under a (possibly quantum) condition.
+def exec_quantum_if(ctx, poly: ZhegalkinPoly, run_then, run_else=None) -> None:
+    """Run a conditional block pair under a non-constant condition polynomial.
 
-    A condition that folds to a classical constant short-circuits to plain
-    execution of the selected branch.  Otherwise the then-branch runs with the
-    enable controls active; with an else-branch present the enable qubit is
-    inverted in between, exactly the conditional-call / flip / inverse
-    conditional-call / flip expansion.
+    The then-branch runs with the enable controls active; with an else-branch
+    present the enable qubit is inverted in between, exactly the
+    conditional-call / flip / inverse conditional-call / flip expansion.
     """
-    poly = to_xdnf(cond)
-    if poly.is_false():
-        if run_else is not None:
-            run_else()
-        return
-    if poly.is_true():
-        run_then()
-        return
-    guard = poly.support()
+    runs = (run_then,) if run_else is None else (run_then, run_else)
+    for _ in _under_enable(ctx, poly, runs):
+        pass
+
+
+def exec_forking_if(ctx, path, poly: ZhegalkinPoly, then_block, else_block,
+                    run_block, join) -> None:
+    """Fork classical execution on a non-constant condition polynomial.
+
+    Each branch becomes a path queued on the worklist `join`: the enable steps
+    of its branch condition, which compute the enable and then call
+    `run_block(block, path, join)` to run the branch and the rest of the
+    forking path `path` on a copy of it.  That call returns when the copy ends
+    or forks in turn; the steps stay queued beneath the paths it forked, and
+    their last step uncomputes the enable after those paths.  The else-path is
+    queued first, so the then-path runs first and paths run depth first.
+    """
+    for branch, block in ((poly.negate(), else_block), (poly, then_block)):
+        ctx.note_fork()
+        join.append(_under_enable(ctx, branch, (partial(run_block, block, path, join),)))
+
+
+def _under_enable(ctx, poly: ZhegalkinPoly, runs):
+    """Compute the enable of `poly`, call each of `runs` under it with the enable
+    flipped between them, then uncompute it; suspends after each call."""
     plan = synthesize_enable(poly, ctx.machine)
-    if run_else is not None and isinstance(plan, DirectPlan) and len(plan.controls) > 1:
+    if len(runs) > 1 and isinstance(plan, DirectPlan) and len(plan.controls) > 1:
         plan = synthesize_enable(poly, ctx.machine, force_scratch=True)
     emitted = [ctx.emit_gate(g) for g in plan.compute]
-    ctx.push_enable(plan.controls, guard)
-    try:
-        run_then()
-    finally:
-        ctx.pop_enable()
-    if run_else is not None:
-        toggle = plan.controls[0]
-        ctx.emit("X", None, toggle, ())
+    guard = poly.support()
+    toggle = plan.controls[0]
+    for k, run in enumerate(runs):
+        if k:
+            ctx.emit("X", None, toggle, ())
         ctx.push_enable(plan.controls, guard)
-        try:
-            run_else()
-        finally:
-            ctx.pop_enable()
+        run()
+        yield
+        ctx.pop_enable()
+    if len(runs) > 1:
         ctx.emit("X", None, toggle, ())
     for g in adjoint_of_tape(emitted):
         ctx.emit_gate(g)
     if plan.scratch is not None:
         ctx.release_temp(plan.scratch)
-
-
-def exec_forking_if(ctx, path, cond: CondExpr, then_block, else_block,
-                    run_block, join) -> None:
-    """Fork classical execution on a quantum condition.
-
-    `run_block(stmts, path, join)` must execute the block and then the whole
-    remainder of the enclosing subroutine before returning, so popping the
-    enable plan after it returns places the uncompute at the join point.
-    """
-    for branch_cond, block in ((cond, then_block), (CondNot(cond), else_block)):
-        poly = to_xdnf(branch_cond)
-        if poly.is_false():
-            continue
-        forked = path.fork(branch_cond)
-        ctx.note_fork()
-        stmts = block if block is not None else []
-        if poly.is_true():
-            run_block(stmts, forked, join)
-            continue
-        plan = synthesize_enable(poly, ctx.machine)
-        emitted = [ctx.emit_gate(g) for g in plan.compute]
-        ctx.push_enable(plan.controls, poly.support())
-        try:
-            run_block(stmts, forked, join)
-        finally:
-            ctx.pop_enable()
-        for g in adjoint_of_tape(emitted):
-            ctx.emit_gate(g)
-        if plan.scratch is not None:
-            ctx.release_temp(plan.scratch)

@@ -6,6 +6,7 @@ import pytest
 
 from qclite import corpus_path
 from qclite.cli import main, repl_loop, run_script
+from qclite.machine import MachineState
 from qclite.session import Session, SessionConfig
 from conftest import make_session
 
@@ -108,15 +109,27 @@ class TestReplBehaviour:
         assert "! runtime error" in output
         assert "division by zero" in output
 
-    def test_internal_error_keeps_loop_alive(self, capsys):
-        # the 1500-iteration qufunct loop overflows the Python stack
+    def test_internal_error_keeps_loop_alive(self, capsys, monkeypatch):
+        # a fault that is not a QclError, injected into the gate path
+        def broken(self, g):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(MachineState, "apply_primitive", broken)
         _, output = run_repl("qureg x[1];\n"
-                             "qufunct f(qureg x) { int i; for i = 1 to 1500 { Not(x); } }\n"
+                             "qufunct f(qureg x) { Not(x); }\n"
                              "f(x);\n"
                              "print 1;\n", qubits=4, echo=False)
-        assert "qcl> f(x);\n! internal error: RecursionError: " in output
+        assert "qcl> f(x);\n! internal error: RuntimeError: injected fault\n" in output
         assert output.endswith("qcl> print 1;\n1\nqcl> \n")
         assert "Traceback" in capsys.readouterr().err
+
+    def test_deep_recursion_is_a_runtime_error(self):
+        _, output = run_repl("procedure p(int n) { if n > 0 { p(n-1); } }\n"
+                             "p(20000);\n"
+                             "print 1;\n", qubits=4, echo=False)
+        assert ("qcl> p(20000);\n"
+                "! runtime error at 1:1: subroutine calls nested too deeply\n") in output
+        assert output.endswith("qcl> print 1;\n1\nqcl> \n")
 
     def test_exit_statement(self):
         status, output = run_repl("exit;\nqureg q[1];\n")

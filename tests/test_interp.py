@@ -1,6 +1,7 @@
 """Interpreter behaviour: evaluation, calls, adjoints, scratch management."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -461,6 +462,81 @@ class TestCpsControlFlow:
         s2.run_line("qureg q[1];")
         with pytest.raises(QclRuntimeError):
             s2.run_line("z(q);")
+
+
+class TestLongPathsAndDeepForks:
+    """Loop length and fork depth do not depend on the Python stack."""
+
+    def test_qufunct_for_loop_of_100000_iterations(self):
+        s = make_session(qubits=4)
+        s.run_source("qufunct f(qureg x) { int i; for i = 1 to 100000 { Not(x); } }")
+        s.run_line("qureg x[1];")
+        before = s.machine.version
+        s.run_line("f(x);")
+        assert s.machine.version - before == 100000
+        assert s.machine.amp[0] == 1
+
+    def test_operator_while_loop_of_2000_iterations(self):
+        source = ("operator w(qureg x) { int k = 0; "
+                  "while k < 2001 { Not(x); k = k + 1; } }")
+        matrix = routine_matrix(source, "qureg x[1];", "w(x);", 1)
+        assert np.allclose(matrix, [[0, 1], [1, 0]])
+
+    def test_fork_chain_2000_deep(self):
+        # the then-path forks again on every iteration; each else-path stops
+        source = """
+        cond qufunct chain(quconst s, qureg q) {
+          int go = 1;
+          int k = 0;
+          while go == 1 and k < 2000 {
+            k = k + 1;
+            if s[0] { go = 1; } else { go = 0; }
+          }
+          if go == 1 { Not(q); }
+        }
+        """
+        matrix = routine_matrix(source, "qureg s[1]; qureg q[1];", "chain(s, q);", 2,
+                                qubits=8)
+        # only the path that took every then-branch, s = 1, flips q
+        assert permutation_of(matrix) == [0, 3, 2, 1]
+
+    def test_for_header_error_points_at_the_loop(self):
+        s = make_session()
+        s.run_source("operator f(qureg q, int d) { int i;\n for i = 1 to 3 / d { H(q); }\n}")
+        s.run_line("qureg q[1];")
+        with pytest.raises(QclRuntimeError) as err:
+            s.run_line("f(q, 0);")
+        assert (err.value.line, err.value.column) == (2, 2)
+
+
+class TestRecursionLimit:
+    """Routine recursion is bounded by a limit raised for one item at a time."""
+
+    @pytest.mark.parametrize("defs,decls,call", [
+        ("procedure p(int n) { if n > 0 { p(n-1); } }", "", "p(998);"),
+        ("operator o(qureg x, int n) { if n > 0 { o(x, n-1); } }", "qureg x[1];",
+         "o(x, 767);"),
+        ("cond operator c(qureg x, qureg e, int n) { if n > 0 { if e { c(x, e, n-1); } } }",
+         "qureg x[1]; qureg e[1];", "c(x, e, 587);"),
+    ])
+    def test_recursion_depth(self, defs, decls, call):
+        s = make_session(qubits=4)
+        s.run_source(defs)
+        if decls:
+            s.run_line(decls)
+        s.run_line(call)
+
+    def test_process_limit_unchanged(self):
+        limit = sys.getrecursionlimit()
+        s = make_session(qubits=4)
+        assert sys.getrecursionlimit() == limit
+        s.run_source("procedure p(int n) { if n > 0 { p(n-1); } }")
+        for line in ("qureg x[1];", "p(10);", "H(x);", "p(20000);", "Not(x);"):
+            try:
+                s.run_line(line)
+            except QclRuntimeError:
+                pass
+            assert sys.getrecursionlimit() == limit
 
 
 class TestRunProgramApi:

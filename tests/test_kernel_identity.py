@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qclite import MachineState, PrimitiveGate, RegisterMap
-from qclite.machine import _DRAW_CHUNK as CHUNK, apply_gate
+from qclite.machine import _DRAW_CHUNK as CHUNK, _gate_plan, apply_gate
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -140,6 +140,9 @@ def peak_bytes(fn, *args):
 def test_h_and_phase_allocate_no_buffers_on_16_qubits():
     # whole-view ufuncs on strided views copied through 8192-element buffers
     # (386 KB for H, 258 KB for a doubly controlled PHASE)
+    # Start from an empty plan cache: the plans of earlier tests decide when its
+    # dict grows, and a growth step from about 450 entries allocates 39 KB.
+    _gate_plan.cache_clear()
     amp = random_amplitudes(1 << 16, 1)
     gates = [g("H", None, t) for t in range(16)]
     gates += [g("PHASE", 0.1 * i, None, (i, j)) for i in range(16) for j in range(i)]
