@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 
 from . import syntax as ast
 from .errors import StaticError
-from .stdgates import BUILTINS, LEVEL_FUNCTION, LEVEL_OPERATOR, LEVEL_PROCEDURE, LEVEL_QUFUNCT
+from .stdgates import (BUILTINS, LEVEL_FUNCTION, LEVEL_OPERATOR, LEVEL_PROCEDURE,
+                       LEVEL_QUFUNCT, LEVELS)
 
-LEVELS = {
-    "procedure": LEVEL_PROCEDURE,
-    "operator": LEVEL_OPERATOR,
-    "qufunct": LEVEL_QUFUNCT,
-    "function": LEVEL_FUNCTION,
-}
 LEVEL_NAMES = {v: k for k, v in LEVELS.items()}
 
 _NUMERIC = ("int", "real", "complex")

@@ -44,11 +44,7 @@ from . import qcond, syntax as ast
 from .errors import (ExitSession, QclRuntimeError, RegisterError, ReturnSignal)
 from .machine import (MachineState, PrimitiveGate, RegisterMap, adjoint_of_tape,
                       format_amplitude)
-from .stdgates import (BUILTINS, Builtin, LEVEL_FUNCTION, LEVEL_OPERATOR,
-                       LEVEL_PROCEDURE, LEVEL_QUFUNCT)
-
-LEVELS = {"procedure": LEVEL_PROCEDURE, "operator": LEVEL_OPERATOR,
-          "qufunct": LEVEL_QUFUNCT, "function": LEVEL_FUNCTION}
+from .stdgates import BUILTINS, Builtin, LEVEL_FUNCTION, LEVEL_PROCEDURE, LEVELS
 
 FORK_PATH_LIMIT = 1 << 16
 RECURSION_LIMIT = 10000
@@ -668,22 +664,28 @@ class Interpreter:
             if right == 0:
                 raise QclRuntimeError("division by zero")
             return left % right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise QclRuntimeError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "^":
-            if isinstance(left, int) and isinstance(right, int):
-                return left ** right if right >= 0 else float(left) ** right
-            return left ** right
+        try:
+            if op == "+":
+                return left + right
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            if op == "/":
+                if right == 0:
+                    raise QclRuntimeError("division by zero")
+                if isinstance(left, int) and isinstance(right, int):
+                    return left // right
+                return left / right
+            if op == "^":
+                if isinstance(left, int) and isinstance(right, int):
+                    return left ** right if right >= 0 else float(left) ** right
+                return left ** right
+        except OverflowError:
+            # a float result, or an int operand converted to float, beyond range
+            raise QclRuntimeError(f"result of '{op}' is out of range") from None
+        except ZeroDivisionError:
+            raise QclRuntimeError("division by zero") from None     # 0 ^ -1
         raise ValueError(f"unhandled operator {op!r}")
 
     def eval_register(self, expr, ctx: ExecContext) -> RegisterValue:
@@ -721,9 +723,16 @@ class Interpreter:
         return value
 
     def _to_real(self, value) -> float:
+        """A gate angle: a finite real, since inf or nan would corrupt the state."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise QclRuntimeError("expected a real value")
-        return float(value)
+        try:
+            angle = float(value)
+        except OverflowError:       # an int beyond the float range
+            angle = math.inf
+        if not math.isfinite(angle):
+            raise QclRuntimeError("a gate angle must be finite")
+        return angle
 
     @staticmethod
     def _default_value(ctype: str):

@@ -3,9 +3,10 @@
 A condition over qubits is compiled to a polynomial over GF(2): an XOR of AND
 monomials plus an optional constant term.  The polynomial drives one of two
 enable plans: a single positive monomial becomes a direct multi-control, and
-anything else is accumulated into one transparently allocated scratch qubit by
-a CNot sequence (one controlled flip per monomial, plus an initial flip for
-the constant term).  The same plan, run in reverse, uncomputes the scratch.
+anything else, or any condition of an `if` with an `else`, is accumulated into
+one transparently allocated scratch qubit by a CNot sequence (one controlled
+flip per monomial, plus an initial flip for the constant term).  The same
+plan, run in reverse, uncomputes the scratch.
 
 Both kinds of quantum `if` take a non-constant polynomial and share one
 compute / run / flip / uncompute helper.  A plain one runs its branches under
@@ -246,9 +247,10 @@ def exec_forking_if(ctx, path, poly: ZhegalkinPoly, then_block, else_block,
 def _under_enable(ctx, poly: ZhegalkinPoly, runs):
     """Compute the enable of `poly`, call each of `runs` under it with the enable
     flipped between them, then uncompute it; suspends after each call."""
-    plan = synthesize_enable(poly, ctx.machine)
-    if len(runs) > 1 and isinstance(plan, DirectPlan) and len(plan.controls) > 1:
-        plan = synthesize_enable(poly, ctx.machine, force_scratch=True)
+    # the enable flipped between branches must be a scratch qubit: a condition
+    # qubit would read inverted in the else-branch, and cannot be flipped at all
+    # under an enclosing condition that controls it
+    plan = synthesize_enable(poly, ctx.machine, force_scratch=len(runs) > 1)
     emitted = [ctx.emit_gate(g) for g in plan.compute]
     guard = poly.support()
     toggle = plan.controls[0]

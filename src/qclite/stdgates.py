@@ -18,6 +18,8 @@ LEVEL_PROCEDURE = 3
 LEVEL_OPERATOR = 2
 LEVEL_QUFUNCT = 1
 LEVEL_FUNCTION = 0
+LEVELS = {"procedure": LEVEL_PROCEDURE, "operator": LEVEL_OPERATOR,
+          "qufunct": LEVEL_QUFUNCT, "function": LEVEL_FUNCTION}
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,22 @@ variable declarations, statements, and expressions over classical values and
 quantum registers.  Parsing is permissive where a later static check gives a
 better diagnostic (for example, a measure statement parses inside an operator
 body and is rejected afterwards).
+
+`tokenize` reads the source with one regular expression, `_SCAN`, into
+keywords (`kw`), identifiers (`ident`), `int` and `real` literals and symbols
+(`sym`); whitespace and `//` comments are dropped, and any other character is
+a `LexError` at its line and column.  The parser appends an `eof` token just
+past the last token, so input that ends too early fails at a real position.
+Binary operators are parsed by precedence climbing over `_PREC`, the table the
+pretty printer also uses to place parentheses.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .errors import LexError, ParseError
 
@@ -27,84 +38,48 @@ KEYWORDS = frozenset({
 CLASSICAL_TYPES = ("int", "real", "complex", "boolean")
 QUANTUM_TYPES = ("qureg", "quconst", "quvoid", "quscratch")
 
-_TWO_CHAR_SYMBOLS = ("==", "!=", "<=", ">=")
-_ONE_CHAR_SYMBOLS = "()[]{};,=!&+-*/^#:<>"
+# Unicode classes on purpose, so identifiers may use any letters; tokenize
+# rejects a word that starts with a numeric character such as '²'.
+_SCAN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[^\S\n]+|//[^\n]*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<number>\d+(?P<fraction>\.\d+)?(?P<exponent>[eE][+-]?\d+)?)
+  | (?P<sym>[=!<>]=|[()\[\]{};,=!&+\-*/^#:<>])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # kw | ident | int | real | sym
+class Token(NamedTuple):
+    kind: str  # kw | ident | int | real | sym | eof
     text: str
     line: int
     column: int
 
 
 def tokenize(source: str) -> list[Token]:
-    """Split source text into tokens, dropping // comments."""
+    """Split source text into tokens, dropping whitespace and // comments."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, -1    # line_start: offset of the newline before the line
+    for m in _SCAN.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.start()
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        text = m.group()
+        column = m.start() - line_start
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"invalid character {text[0]!r}", line, column)
             kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            tokens.append(Token("real" if is_real else "int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR_SYMBOLS:
-            tokens.append(Token("sym", pair, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_SYMBOLS:
-            tokens.append(Token("sym", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"invalid character {ch!r}", line, start_col)
+        elif kind == "number":
+            kind = "real" if m["fraction"] or m["exponent"] else "int"
+        elif kind == "bad":
+            raise LexError(f"invalid character {text!r}", line, column)
+        tokens.append(Token(kind, text, line, column))
     return tokens
 
 
@@ -290,40 +265,40 @@ class Program(Node):
 # Parser
 # --------------------------------------------------------------------------
 
-_EOF = Token("eof", "<end of input>", 0, 0)
-
-# binary operator levels, loosest first; "^" is handled separately (right assoc)
-_BINARY_LEVELS = [
-    ("or",),
-    ("xor",),
-    ("and",),
-    ("==", "!=", "<", "<=", ">", ">="),
-    ("+", "-"),
-    ("*", "/", "mod", "&"),
-]
+# binary operator precedence, loosest first; "^" alone is right associative
+_PREC = {
+    "or": 1, "xor": 2, "and": 3,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "mod": 6, "&": 6,
+    "^": 7,
+}
+_SUBROUTINES = ("procedure", "operator", "qufunct")
+_BARE = {Reset: "reset", Dump: "dump", ExitStmt: "exit"}    # one-keyword statements
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        last = tokens[-1] if tokens else Token("eof", "", 1, 1)
+        end = Token("eof", "<end of input>", last.line, last.column + len(last.text))
+        self.tokens = [*tokens, end]
         self.pos = 0
 
     # -- token plumbing ----
 
     def peek(self, offset: int = 0) -> Token:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else _EOF
+        return self.tokens[self.pos + offset]
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos].kind == "eof"
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def check(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind in ("kw", "sym") and tok.text == text
 
     def accept(self, text: str) -> bool:
@@ -333,20 +308,28 @@ class Parser:
         return False
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
         if not self.check(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+            self._fail(f"expected {text!r}, found {self.peek().text!r}")
         return self.advance()
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.column)
+        if self.peek().kind != "ident":
+            self._fail(f"expected identifier, found {self.peek().text!r}")
         return self.advance()
 
     def _fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    def comma_list(self, parse_one, end: str) -> list:
+        """Parse `item, ..., item` and the closing `end`; only a ')' list may be empty."""
+        items = []
+        if end != ")" or not self.check(end):
+            items.append(parse_one())
+            while self.accept(","):
+                items.append(parse_one())
+        self.expect(end)
+        return items
 
     # -- items ----
 
@@ -360,55 +343,42 @@ class Parser:
 
     def parse_item(self):
         tok = self.peek()
-        if tok.kind == "kw":
-            if tok.text == "cond" or tok.text in ("procedure", "operator", "qufunct"):
-                return self.parse_routine()
-            if tok.text in CLASSICAL_TYPES:
-                if self.peek(1).kind == "ident" and self.peek(2).text == "(":
-                    return self.parse_routine()
-                return self.parse_var_decl()
-            if tok.text == "const":
-                return self.parse_const_decl()
-            if tok.text in QUANTUM_TYPES:
-                return self.parse_reg_decl()
+        if tok.kind == "kw" and (tok.text == "cond" or tok.text in _SUBROUTINES or (
+                tok.text in CLASSICAL_TYPES and self.peek(1).kind == "ident"
+                and self.peek(2).text == "(")):
+            return self.parse_routine()
         return self.parse_statement()
 
     def parse_routine(self) -> Routine:
         tok = self.peek()
         cond = self.accept("cond")
         kw = self.advance()
-        if kw.text in ("procedure", "operator", "qufunct"):
+        if kw.text in _SUBROUTINES:
             kind, ret_type = kw.text, None
         elif kw.text in CLASSICAL_TYPES:
             kind, ret_type = "function", kw.text
         else:
-            raise ParseError(
-                f"expected subroutine keyword after 'cond', found {kw.text!r}", kw.line, kw.column
-            )
+            raise ParseError(f"expected subroutine keyword after 'cond', found {kw.text!r}",
+                             kw.line, kw.column)
         name = self.expect_ident()
         self.expect("(")
-        params = []
-        if not self.check(")"):
-            while True:
-                ptok = self.peek()
-                if ptok.kind != "kw" or ptok.text not in CLASSICAL_TYPES + QUANTUM_TYPES:
-                    self._fail(f"expected parameter type, found {ptok.text!r}")
-                self.advance()
-                pname = self.expect_ident()
-                params.append(Param(ptok.text, pname.text, line=ptok.line, column=ptok.column))
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        params = self.comma_list(self.parse_param, ")")
         body = self.parse_block()
         return Routine(kind, cond, ret_type, name.text, params, body,
                        line=tok.line, column=tok.column)
 
+    def parse_param(self) -> Param:
+        tok = self.peek()
+        if tok.kind != "kw" or tok.text not in CLASSICAL_TYPES + QUANTUM_TYPES:
+            self._fail(f"expected parameter type, found {tok.text!r}")
+        self.advance()
+        name = self.expect_ident()
+        return Param(tok.text, name.text, line=tok.line, column=tok.column)
+
     def parse_var_decl(self) -> VarDecl:
         tok = self.advance()
         name = self.expect_ident()
-        init = None
-        if self.accept("="):
-            init = self.parse_expr()
+        init = self.parse_expr() if self.accept("=") else None
         self.expect(";")
         return VarDecl(tok.text, name.text, init, line=tok.line, column=tok.column)
 
@@ -434,88 +404,58 @@ class Parser:
     def parse_block(self) -> list:
         self.expect("{")
         stmts = []
-        while not self.check("}"):
-            if self.at_end():
-                self._fail("expected '}'")
+        while not self.accept("}"):
             tok = self.peek()
-            if tok.kind == "kw" and tok.text in ("procedure", "operator", "qufunct"):
+            if tok.kind == "eof":
+                self._fail("expected '}'")
+            if tok.kind == "kw" and tok.text in _SUBROUTINES:
                 raise ParseError("nested subroutine definitions are not allowed",
                                  tok.line, tok.column)
-            if tok.kind == "kw" and tok.text in CLASSICAL_TYPES:
-                stmts.append(self.parse_var_decl())
-                continue
-            if tok.kind == "kw" and tok.text == "const":
-                stmts.append(self.parse_const_decl())
-                continue
-            if tok.kind == "kw" and tok.text in QUANTUM_TYPES:
-                stmts.append(self.parse_reg_decl())
-                continue
             stmt = self.parse_statement()
             if stmt is not None:
                 stmts.append(stmt)
-        self.expect("}")
         return stmts
 
     def parse_statement(self):
+        """Parse a declaration or statement; an empty statement gives None."""
         tok = self.peek()
         if tok.kind == "kw":
-            handler = {
-                "if": self.parse_if, "for": self.parse_for, "while": self.parse_while,
-                "measure": self.parse_measure, "print": self.parse_print,
-                "return": self.parse_return,
-            }.get(tok.text)
-            if handler is not None:
-                return handler()
-            if tok.text == "reset":
-                self.advance()
-                self.expect(";")
-                return Reset(line=tok.line, column=tok.column)
-            if tok.text == "dump":
-                self.advance()
-                self.expect(";")
-                return Dump(line=tok.line, column=tok.column)
-            if tok.text == "exit":
-                self.advance()
-                self.expect(";")
-                return ExitStmt(line=tok.line, column=tok.column)
-            self._fail(f"unexpected keyword {tok.text!r}")
-        if self.check("!"):
-            self.advance()
+            parse = _STATEMENTS.get(tok.text)
+            if parse is None:
+                self._fail(f"unexpected keyword {tok.text!r}")
+            return parse(self)
+        if self.accept("!"):
             name = self.expect_ident()
             return self.finish_call_stmt(name, invert=True, pos=tok)
-        if self.check(";"):
-            self.advance()
+        if self.accept(";"):
             return None
         if tok.kind == "ident":
-            name = self.advance()
-            if self.check("="):
-                self.advance()
+            self.advance()
+            if self.accept("="):
                 value = self.parse_expr()
                 self.expect(";")
-                return Assign(name.text, value, line=tok.line, column=tok.column)
+                return Assign(tok.text, value, line=tok.line, column=tok.column)
             if self.check("("):
-                return self.finish_call_stmt(name, invert=False, pos=tok)
-            self._fail(f"expected '=' or '(' after {name.text!r}")
+                return self.finish_call_stmt(tok, invert=False, pos=tok)
+            self._fail(f"expected '=' or '(' after {tok.text!r}")
         self._fail(f"unexpected token {tok.text!r}")
 
     def finish_call_stmt(self, name: Token, invert: bool, pos: Token) -> CallStmt:
         self.expect("(")
-        args = []
-        if not self.check(")"):
-            args.append(self.parse_expr())
-            while self.accept(","):
-                args.append(self.parse_expr())
-        self.expect(")")
+        args = self.comma_list(self.parse_expr, ")")
         self.expect(";")
         return CallStmt(name.text, args, invert, line=pos.line, column=pos.column)
+
+    def parse_bare(self, node_type: type) -> Node:
+        tok = self.advance()
+        self.expect(";")
+        return node_type(line=tok.line, column=tok.column)
 
     def parse_if(self) -> If:
         tok = self.advance()
         cond = self.parse_expr()
         then = self.parse_block()
-        orelse = None
-        if self.accept("else"):
-            orelse = self.parse_block()
+        orelse = self.parse_block() if self.accept("else") else None
         return If(cond, then, orelse, line=tok.line, column=tok.column)
 
     def parse_for(self) -> For:
@@ -525,9 +465,7 @@ class Parser:
         start = self.parse_expr()
         self.expect("to")
         stop = self.parse_expr()
-        step = None
-        if self.accept("step"):
-            step = self.parse_expr()
+        step = self.parse_expr() if self.accept("step") else None
         body = self.parse_block()
         return For(var.text, start, stop, step, body, line=tok.line, column=tok.column)
 
@@ -540,18 +478,13 @@ class Parser:
     def parse_measure(self) -> Measure:
         tok = self.advance()
         target = self.parse_expr()
-        var = None
-        if self.accept(","):
-            var = self.expect_ident().text
+        var = self.expect_ident().text if self.accept(",") else None
         self.expect(";")
         return Measure(target, var, line=tok.line, column=tok.column)
 
     def parse_print(self) -> Print:
         tok = self.advance()
-        args = [self.parse_expr()]
-        while self.accept(","):
-            args.append(self.parse_expr())
-        self.expect(";")
+        args = self.comma_list(self.parse_expr, ";")
         return Print(args, line=tok.line, column=tok.column)
 
     def parse_return(self) -> Return:
@@ -562,43 +495,26 @@ class Parser:
 
     # -- expressions ----
 
-    def parse_expr(self) -> Node:
-        return self.parse_binary(0)
-
-    def parse_binary(self, level: int) -> Node:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_power()
-        ops = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+    def parse_expr(self, min_prec: int = 1) -> Node:
+        """Parse operands joined by binary operators that bind at least `min_prec`."""
+        left = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok.kind in ("kw", "sym") and tok.text in ops:
-                self.advance()
-                right = self.parse_binary(level + 1)
-                left = Binary(tok.text, left, right, line=tok.line, column=tok.column)
-            else:
+            prec = _PREC.get(tok.text, 0)
+            if prec < min_prec:
                 return left
-
-    def parse_power(self) -> Node:
-        left = self.parse_unary()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "^":
             self.advance()
-            right = self.parse_power()  # right associative
-            return Binary("^", left, right, line=tok.line, column=tok.column)
-        return left
+            right = self.parse_expr(prec if tok.text == "^" else prec + 1)
+            left = Binary(tok.text, left, right, line=tok.line, column=tok.column)
 
     def parse_unary(self) -> Node:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
+        if tok.text in ("-", "not", "#"):
             self.advance()
-            return Unary("-", self.parse_unary(), line=tok.line, column=tok.column)
-        if tok.kind == "kw" and tok.text == "not":
-            self.advance()
-            return Unary("not", self.parse_unary(), line=tok.line, column=tok.column)
-        if tok.kind == "sym" and tok.text == "#":
-            self.advance()
-            return Length(self.parse_unary(), line=tok.line, column=tok.column)
+            operand = self.parse_unary()
+            if tok.text == "#":
+                return Length(operand, line=tok.line, column=tok.column)
+            return Unary(tok.text, operand, line=tok.line, column=tok.column)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Node:
@@ -609,49 +525,46 @@ class Parser:
                 if not isinstance(node, Name):
                     self._fail("only named subroutines can be called")
                 self.advance()
-                args = []
-                if not self.check(")"):
-                    args.append(self.parse_expr())
-                    while self.accept(","):
-                        args.append(self.parse_expr())
-                self.expect(")")
+                args = self.comma_list(self.parse_expr, ")")
                 node = Call(node.ident, args, line=node.line, column=node.column)
-            elif self.check("["):
-                self.advance()
+            elif self.accept("["):
                 first = self.parse_expr()
-                if self.accept(":"):
-                    second = self.parse_expr()
-                    self.expect("]")
-                    node = RangeIndex(node, first, second, line=tok.line, column=tok.column)
-                else:
-                    self.expect("]")
-                    node = Index(node, first, line=tok.line, column=tok.column)
+                second = self.parse_expr() if self.accept(":") else None
+                self.expect("]")
+                node = (Index(node, first, line=tok.line, column=tok.column) if second is None
+                        else RangeIndex(node, first, second, line=tok.line, column=tok.column))
             else:
                 return node
 
     def parse_primary(self) -> Node:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "int":
-            self.advance()
             return IntLit(int(tok.text), line=tok.line, column=tok.column)
         if tok.kind == "real":
-            self.advance()
             return RealLit(float(tok.text), line=tok.line, column=tok.column)
         if tok.kind == "ident":
-            self.advance()
             return Name(tok.text, line=tok.line, column=tok.column)
-        if self.check("("):
-            self.advance()
+        if tok.kind == "sym" and tok.text == "(":
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        self._fail(f"expected expression, found {tok.text!r}")
+        raise ParseError(f"expected expression, found {tok.text!r}", tok.line, tok.column)
+
+
+# the parser of each declaration or statement that starts with a keyword
+_STATEMENTS = {
+    **dict.fromkeys(CLASSICAL_TYPES, Parser.parse_var_decl),
+    "const": Parser.parse_const_decl,
+    **dict.fromkeys(QUANTUM_TYPES, Parser.parse_reg_decl),
+    "if": Parser.parse_if, "for": Parser.parse_for, "while": Parser.parse_while,
+    "measure": Parser.parse_measure, "print": Parser.parse_print,
+    "return": Parser.parse_return,
+    **{text: partial(Parser.parse_bare, node_type=t) for t, text in _BARE.items()},
+}
 
 
 def parse_program(tokens: list[Token]) -> Program:
-    parser = Parser(tokens)
-    items = parser.parse_items()
-    return Program(items)
+    return Program(Parser(tokens).parse_items())
 
 
 def parse_source(source: str) -> Program:
@@ -667,13 +580,6 @@ def parse_interactive(line: str) -> list:
 # Pretty printer
 # --------------------------------------------------------------------------
 
-_PREC = {
-    "or": 1, "xor": 2, "and": 3,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "mod": 6, "&": 6,
-    "^": 7,
-}
 _UNARY_PREC = 8
 
 
@@ -692,12 +598,8 @@ def unparse_expr(node: Node, parent_prec: int = 0) -> str:
         return _wrap(f"{node.op}{sep}{inner}", _UNARY_PREC, parent_prec)
     if isinstance(node, Binary):
         prec = _PREC[node.op]
-        if node.op == "^":
-            text = (f"{unparse_expr(node.left, prec + 1)} ^ "
-                    f"{unparse_expr(node.right, prec)}")
-        else:
-            text = (f"{unparse_expr(node.left, prec)} {node.op} "
-                    f"{unparse_expr(node.right, prec + 1)}")
+        left, right = (prec + 1, prec) if node.op == "^" else (prec, prec + 1)
+        text = f"{unparse_expr(node.left, left)} {node.op} {unparse_expr(node.right, right)}"
         return _wrap(text, prec, parent_prec)
     if isinstance(node, Index):
         return f"{unparse_expr(node.base, _UNARY_PREC + 1)}[{unparse_expr(node.index)}]"
@@ -748,14 +650,10 @@ def unparse_stmt(node: Node, indent: int = 0) -> str:
     if isinstance(node, Measure):
         var = f", {node.var}" if node.var else ""
         return f"{pad}measure {unparse_expr(node.target)}{var};"
-    if isinstance(node, Reset):
-        return f"{pad}reset;"
-    if isinstance(node, Dump):
-        return f"{pad}dump;"
+    if type(node) in _BARE:
+        return f"{pad}{_BARE[type(node)]};"
     if isinstance(node, Print):
         return f"{pad}print {', '.join(unparse_expr(a) for a in node.args)};"
-    if isinstance(node, ExitStmt):
-        return f"{pad}exit;"
     if isinstance(node, Return):
         return f"{pad}return {unparse_expr(node.value)};"
     raise TypeError(f"cannot unparse {type(node).__name__}")

@@ -123,6 +123,19 @@ class TestReplBehaviour:
         assert output.endswith("qcl> print 1;\n1\nqcl> \n")
         assert "Traceback" in capsys.readouterr().err
 
+    def test_arithmetic_faults_keep_loop_alive(self, capsys):
+        _, output = run_repl("print 2.0^10000;\n"
+                             "qureg q[1];\n"
+                             "Rot(1e400, q);\n"
+                             "print 1;\n", qubits=4, echo=False)
+        assert output == ("qcl> print 2.0^10000;\n"
+                          "! runtime error at 1:1: result of '^' is out of range\n"
+                          "qcl> qureg q[1];\n"
+                          "qcl> Rot(1e400, q);\n"
+                          "! runtime error at 1:1: a gate angle must be finite\n"
+                          "qcl> print 1;\n1\nqcl> \n")
+        assert capsys.readouterr().err == ""
+
     def test_deep_recursion_is_a_runtime_error(self):
         _, output = run_repl("procedure p(int n) { if n > 0 { p(n-1); } }\n"
                              "p(20000);\n"

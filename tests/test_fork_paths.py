@@ -92,17 +92,8 @@ def concrete(stmts, ns, nq, loops=()):
             orelse = None if stmt[3] is None else concrete(stmt[3], ns, nq, loops)
             if stmt[4]:
                 then = [("add", 1 + len(then))] + then
-            if orelse is not None and not forks(then + orelse) and single(cond):
-                # an if-else on one qubit flips that qubit between its branches,
-                # which fails when an enclosing condition already controls it
-                cond = ("not", cond[1])
             out.append(("qif", cond, then, orelse))
     return out
-
-
-def single(cond) -> bool:
-    """True when `cond` reduces to one unnegated qubit."""
-    return cond[0] == "atom" or (cond[0] in ("and", "or") and cond[1] == cond[2])
 
 
 def loop_depth(stmts) -> int:

@@ -51,6 +51,26 @@ class TestEvalExpr:
         with pytest.raises(QclRuntimeError):
             s.run_line("a = 1 mod 0;")
 
+    @pytest.mark.parametrize("line,message,column", [
+        ("print 2.0^10000;", "result of '^' is out of range", 1),
+        ("print 0^-1;", "division by zero", 1),
+        ("int k = 2^3000; print k/1.5;", "result of '/' is out of range", 17),
+    ])
+    def test_arithmetic_faults_are_runtime_errors(self, line, message, column):
+        with pytest.raises(QclRuntimeError) as err:
+            make_session().run_line(line)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
+    @pytest.mark.parametrize("call", ["Rot(1e400, q);", "Rot(1e400-1e400, q);",
+                                      "Phase(1e400);", "Rot(2^1024, q);"])
+    def test_non_finite_angle_leaves_the_state_alone(self, call):
+        s = make_session()
+        s.run_line("qureg q[1]; H(q);")
+        before = s.machine.amp.copy()
+        with pytest.raises(QclRuntimeError, match="a gate angle must be finite"):
+            s.run_line(call)
+        assert np.array_equal(s.machine.amp, before)
+
     def test_random_is_seeded(self):
         a = make_session(seed=42)
         b = make_session(seed=42)

@@ -231,6 +231,24 @@ class TestQuantumIf:
                 expected[(ab << 2) | row, col] = block[row, x]
         assert np.max(np.abs(matrix - expected)) < 1e-9
 
+    def test_else_on_one_qubit_under_a_condition_on_it(self):
+        s = make_session(qubits=8)
+        s.run_line("qureg a[1]; qureg b[1]; qureg c[1];")
+        s.run_line("H(a);")
+        s.run_line("if a { if a { Not(b); } else { Not(c); } }")
+        assert s.echo_state() == "[3/8] 0.707107 |000> + 0.707107 |011>"
+        assert len(s.machine.allocated) == 3
+
+    def test_else_branch_reads_one_qubit_condition_uninverted(self):
+        s = make_session(qubits=8)
+        s.run_source("cond qufunct f(quconst s, qureg q) "
+                     "{ if s[0] { Not(q); } else { CNot(q, s[0]); } }")
+        s.run_line("qureg s[1]; qureg q[1];")
+        s.run_line("f(s, q);")
+        assert s.echo_state() == "[2/8] 1 |00>"
+        s.run_line("Not(s); f(s, q);")
+        assert s.echo_state() == "[2/8] 1 |11>"
+
     def test_nested_ifs_equal_conjunction(self, corpus):
         nested = routine_matrix(
             corpus["inc_cond.qcl"], "qureg x[2]; qureg a[1]; qureg b[1];",

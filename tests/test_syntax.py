@@ -1,17 +1,106 @@
 """Tokenizer and parser behaviour, including round-trips of the bundled corpus."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qclite import ParseError, LexError
 from qclite import syntax
-from qclite.syntax import (Binary, Call, If, IntLit, Name, Print, Routine, Unary,
+from qclite.syntax import (KEYWORDS, Binary, Call, If, IntLit, Name, Print, Routine, Unary,
                            parse_interactive, parse_program, parse_source, tokenize,
                            unparse)
+from conftest import make_session
 
 
 def kinds_and_texts(source):
     return [(t.kind, t.text) for t in tokenize(source)]
+
+
+def reference_tokenize(source):
+    """The character-loop tokenizer that the regular-expression scanner replaced,
+    kept as the reference it must agree with; tokens are plain tuples."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            tokens.append(("kw" if text in KEYWORDS else "ident", text, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            is_real = False
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+                is_real = True
+                j += 1
+                while j < n and source[j].isdigit():
+                    j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    is_real = True
+                    j = k
+                    while j < n and source[j].isdigit():
+                        j += 1
+            text = source[i:j]
+            int(text) if not is_real else float(text)   # as the parser did: '²' raised ValueError
+            tokens.append(("real" if is_real else "int", text, line, start_col))
+            col += j - i
+            i = j
+            continue
+        pair = source[i : i + 2]
+        if pair in ("==", "!=", "<=", ">="):
+            tokens.append(("sym", pair, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "()[]{};,=!&+-*/^#:<>":
+            tokens.append(("sym", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise LexError(f"invalid character {ch!r}", line, start_col)
+    return tokens
+
+
+def tokens_or_error(tokenizer, source):
+    try:
+        return [tuple(t) for t in tokenizer(source)]
+    except LexError as err:
+        return err.message, err.line, err.column
+
+
+# printable ASCII, the other ASCII whitespace, and non-ASCII letters, decimal
+# digits, digit-like characters and spaces, each pool drawn about equally often
+CHARACTERS = (st.characters(min_codepoint=32, max_codepoint=126)
+              | st.sampled_from("\t\r\n\x0b\x0c\x1c\x1d\x1e\x1f")
+              | st.sampled_from("\u00e9\u03c0\u0416\u00df\u0663\u096d\uff13\u00b2\u00bd"
+                                "\u2167\xa0\x85\u2003\u3000"))
+FRAGMENTS = st.sampled_from(["1.5e-3", "4e2", "2e", "3.", "7E+", "//", "==", "<=", "if", "x_1"])
+SOURCES = st.lists(CHARACTERS | FRAGMENTS, max_size=24).map("".join)
 
 
 class TestTokenize:
@@ -48,6 +137,27 @@ class TestTokenize:
             tokenize("int x @ 3;")
         assert err.value.line == 1
         assert err.value.column == 7
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u00b3", "\u00b9"])
+    def test_digit_like_character(self, char):
+        # numeric but not a decimal digit: it used to become an int literal that int() rejected
+        with pytest.raises(LexError) as err:
+            tokenize(f"int x;\nprint {char};")
+        assert (err.value.line, err.value.column) == (2, 7)
+        assert err.value.message == f"invalid character {char!r}"
+
+    def test_unicode_identifiers_and_digits(self):
+        assert kinds_and_texts("\u00e9t\u00e9 = \u0663;") == [
+            ("ident", "\u00e9t\u00e9"), ("sym", "="), ("int", "\u0663"), ("sym", ";")]
+
+    @settings(max_examples=300)
+    @given(SOURCES)
+    def test_matches_reference_tokenizer(self, source):
+        try:
+            expected = tokens_or_error(reference_tokenize, source)
+        except ValueError:
+            assume(False)
+        assert tokens_or_error(tokenize, source) == expected
 
 
 class TestParse:
@@ -132,6 +242,25 @@ class TestParse:
     def test_nested_routine_rejected(self):
         with pytest.raises(ParseError):
             parse_source("operator f(qureg q) { operator g(qureg p) { } }")
+
+
+class TestEndOfInput:
+    @pytest.mark.parametrize("line,column", [
+        ("int n = 3 -", 12),
+        ("H(", 3),
+        ("qureg a[1]; if a {", 19),
+        ("operator f(qureg q) { H(q);", 28),
+    ])
+    def test_error_points_past_the_last_token(self, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_interactive(line + "  // trailing comment")
+        assert "'<end of input>'" in err.value.message or err.value.message == "expected '}'"
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_script_position(self):
+        with pytest.raises(ParseError) as err:
+            make_session().run_source("qureg a[1];\nH(a")
+        assert (err.value.line, err.value.column) == (2, 4)
 
 
 class TestInteractive:
