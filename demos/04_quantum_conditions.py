@@ -1,8 +1,9 @@
 """Quantum conditions: polynomial normal form, enable synthesis, if-statements.
 
-A boolean condition over qubits becomes an XOR of AND monomials.  A single
-positive monomial is used directly as a multi-control; everything else is
-accumulated into one scratch qubit by CNots and uncomputed afterwards.
+A boolean condition over qubits becomes an XOR of AND monomials.  A
+conjunction of qubits, each required at 1 or at 0, is used directly as a
+multi-control (~q marks a qubit required at 0); everything else is accumulated
+into one scratch qubit by CNots and uncomputed afterwards.
 """
 
 import sys
@@ -34,6 +35,9 @@ plan = synthesize_enable(to_xdnf(CondBin("or", atom(0), atom(1))), machine)
 print("\nenable plan for a or b (scratch qubit", plan.scratch.qubits[0], "):")
 for g in plan.compute:
     print("  flip scratch controlled on", sorted(g.controls) or "nothing")
+plan = synthesize_enable(to_xdnf(CondNot(CondBin("or", atom(0), atom(1)))), machine)
+literals = ", ".join(f"~{~c}" if c < 0 else str(c) for c in plan.controls)
+print(f"enable plan for not (a or b): controls ({literals}), no scratch qubit")
 
 # the conditional-increment session: if-statements over mixed conditions
 print("\nconditional increments on a 4-qubit counter:")
@@ -48,6 +52,6 @@ for line in ("if a and b { inc(q); }",
     session.run_line(line)
     print(f"{line:28}", session.echo_state())
 
-# an else-branch decrements by running the inverse under the flipped enable
+# an else-branch decrements by running the inverse under the negated condition
 session.run_line("if a and b { inc(q); } else { !inc(q); }")
 print("with else branch:", session.echo_state())

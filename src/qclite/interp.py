@@ -743,14 +743,14 @@ class Interpreter:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise QclRuntimeError("expected an int value")
             return value
-        if ctype == "real":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise QclRuntimeError("expected a real value")
-            return float(value)
-        if ctype == "complex":
-            if isinstance(value, bool) or not isinstance(value, (int, float, complex)):
-                raise QclRuntimeError("expected a complex value")
-            return complex(value)
+        if ctype in ("real", "complex"):
+            kinds = (int, float) if ctype == "real" else (int, float, complex)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise QclRuntimeError(f"expected a {ctype} value")
+            try:
+                return float(value) if ctype == "real" else complex(value)
+            except OverflowError:       # an int beyond the float range
+                raise QclRuntimeError(f"value is out of range for a {ctype}") from None
         if ctype == "boolean":
             if not isinstance(value, bool):
                 raise QclRuntimeError("expected a boolean value")
@@ -773,7 +773,10 @@ class Interpreter:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, int):
-            return str(value)
+            try:
+                return str(value)
+            except ValueError:      # past Python's int-to-str digit limit
+                raise QclRuntimeError("integer too large to print") from None
         if isinstance(value, float):
             return f"{value:g}"
         if isinstance(value, complex):

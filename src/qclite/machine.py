@@ -8,9 +8,10 @@ qubits are in use.
 
 The kernels fix qubits through views.  A view's reshape has an axis of 2 for
 each qubit it fixes, most significant first, and one axis for each run of free
-qubits between them; indexing the fixed axes selects the amplitudes.  A gate
-with k controls thus updates only the 2^(n-k) amplitudes whose control bits
-are set, in place.  apply_gate caches the plans of its views (the controls'
+qubits between them; indexing the fixed axes selects the amplitudes.  A control
+is a literal, q for qubit q at 1 or ~q for q at 0, so a gate with k controls
+updates only the 2^(n-k) amplitudes where they all hold, in place, and none
+when two contradict.  apply_gate caches the plans of its views (the controls'
 view, and for a targeted gate the halves v0 and v1) per (shape, target,
 controls), and runs its ufuncs in C order over them.  When the lowest free run
 is shorter than 16 amplitudes, the lowest run of at least 16 is moved
@@ -55,6 +56,11 @@ PRINT_TOL = 1e-8
 _DRAW_CHUNK = 8192            # amplitudes a measurement's draw squares and sums at a time
 
 
+def _number(n: int) -> str:
+    """n for a message: past 64 bits its power of two, as Python prints 4300 digits at most."""
+    return str(n) if n.bit_length() <= 64 else f"~{'-' * (n < 0)}2^{n.bit_length() - 1}"
+
+
 @dataclass(frozen=True)
 class RegisterMap:
     """Ordered, mutually distinct qubit positions; position 0 is least significant."""
@@ -72,12 +78,13 @@ class RegisterMap:
 
     def index(self, i: int) -> RegisterMap:
         if not 0 <= i < len(self.qubits):
-            raise RegisterError(f"register index {i} out of range for length {len(self)}")
+            raise RegisterError(f"register index {_number(i)} out of range for length {len(self)}")
         return RegisterMap((self.qubits[i],))
 
     def slice(self, a: int, b: int) -> RegisterMap:
         if not 0 <= a <= b < len(self.qubits):
-            raise RegisterError(f"register slice {a}:{b} out of range for length {len(self)}")
+            raise RegisterError(f"register slice {_number(a)}:{_number(b)} out of range "
+                                f"for length {len(self)}")
         return RegisterMap(self.qubits[a : b + 1])
 
     def concat(self, other: RegisterMap) -> RegisterMap:
@@ -90,9 +97,9 @@ class RegisterMap:
 class PrimitiveGate:
     """One primitive operation: kind in {X, H, ROT, PHASE}.
 
-    PHASE has no target; it multiplies every amplitude whose control bits are
-    all set by e^(i*param).  The other kinds act on the target bit's amplitude
-    pair wherever the control bits are all set.
+    PHASE has no target; it multiplies every amplitude where all controls hold
+    (q: qubit q is 1, ~q: it is 0) by e^(i*param).  The other kinds act on the
+    target bit's amplitude pair wherever the controls hold.
     """
 
     kind: str
@@ -184,8 +191,11 @@ def _fixed(amp: np.ndarray, bits: dict[int, int]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _gate_plan(shape: tuple[int, ...], target: int | None, controls: frozenset[int]):
-    """View plans of one gate: the controls' view, then for a targeted gate its two halves."""
-    on = dict.fromkeys(controls, 1)
+    """View plans of one gate: the controls' view, then for a targeted gate its two
+    halves; none when the controls contradict."""
+    on = {c if c >= 0 else ~c: int(c >= 0) for c in controls}
+    if len(on) < len(controls):
+        return ()
     if target is None:
         return (_view_plan(shape, on),)
     return tuple(_view_plan(shape, bits) for bits in (on, {**on, target: 0}, {**on, target: 1}))
@@ -193,7 +203,9 @@ def _gate_plan(shape: tuple[int, ...], target: int | None, controls: frozenset[i
 
 def apply_gate(amp: np.ndarray, g: PrimitiveGate) -> None:
     """Apply one primitive gate in place to 2^n amplitudes, or to each column of 2^n rows."""
-    on, *halves = (_view(amp, plan) for plan in _gate_plan(amp.shape, g.target, g.controls))
+    if not (plans := _gate_plan(amp.shape, g.target, g.controls)):
+        return
+    on, *halves = (_view(amp, plan) for plan in plans)
     bufsize = np.setbufsize(_GATE_BUFSIZE) if amp.size >= _SCOPED_BUFFER_SIZE else None
     try:
         if g.kind == "PHASE":
@@ -263,7 +275,7 @@ class MachineState:
             raise AllocationError("register size must be at least 1")
         free = [q for q in range(self.total) if q not in self.allocated][:m]
         if len(free) < m:
-            raise AllocationError(f"out of qubits: requested {m}, only {len(free)} free")
+            raise AllocationError(f"out of qubits: requested {_number(m)}, only {len(free)} free")
         top = max(free) + 1
         if top > self.materialized:
             if top > self.dense_limit:
@@ -297,8 +309,9 @@ class MachineState:
         if g.target is not None and g.target not in self.allocated:
             raise RegisterError(f"qubit {g.target} is not allocated")
         for c in g.controls:
-            if c not in self.allocated:
-                raise RegisterError(f"qubit {c} is not allocated")
+            q = c if c >= 0 else ~c
+            if q not in self.allocated:
+                raise RegisterError(f"qubit {q} is not allocated")
         apply_gate(self.amp, g)
         self.version += 1
 

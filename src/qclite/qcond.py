@@ -2,18 +2,19 @@
 
 A condition over qubits is compiled to a polynomial over GF(2): an XOR of AND
 monomials plus an optional constant term.  The polynomial drives one of two
-enable plans: a single positive monomial becomes a direct multi-control, and
-anything else, or any condition of an `if` with an `else`, is accumulated into
-one transparently allocated scratch qubit by a CNot sequence (one controlled
-flip per monomial, plus an initial flip for the constant term).  The same
-plan, run in reverse, uncomputes the scratch.
+enable plans.  A conjunction of literals (each qubit required at 1 or at 0)
+becomes a direct multi-control with negated controls for the 0s; anything else
+is accumulated into one transparently allocated scratch qubit by a CNot
+sequence (one controlled flip per monomial, plus an initial flip for the
+constant term).  The same plan, run in reverse, uncomputes the scratch.
 
-Both kinds of quantum `if` take a non-constant polynomial and share one
-compute / run / flip / uncompute helper.  A plain one runs its branches under
-the enable at once.  A forking one, whose branches change classical state,
-queues each branch as a path on the interpreter's worklist; the path's enable
-covers the *remainder* of the subroutine and is uncomputed after every path
-it forks, and the paths run then-branch first, depth first.
+Both kinds of quantum `if` run each branch under its own enable, the
+else-branch under the negated polynomial, with one compute / run / uncompute
+helper.  A plain one runs its branches at once.  A forking one, whose branches
+change classical state, queues each branch as a path on the interpreter's
+worklist; the path's enable covers the *remainder* of the subroutine and is
+uncomputed after every path it forks, and the paths run then-branch first,
+depth first.
 """
 
 from __future__ import annotations
@@ -116,24 +117,12 @@ class ZhegalkinPoly:
                              self.monomials ^ other.monomials)
 
     def and_(self, other: ZhegalkinPoly) -> ZhegalkinPoly:
+        one = frozenset()                   # the constant term as an empty monomial
         terms: set[frozenset[int]] = set()
-
-        def toggle(m):
-            if m in terms:
-                terms.remove(m)
-            else:
-                terms.add(m)
-
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                toggle(m1 | m2)
-        if self.const:
-            for m2 in other.monomials:
-                toggle(m2)
-        if other.const:
-            for m1 in self.monomials:
-                toggle(m1)
-        return ZhegalkinPoly(self.const and other.const, frozenset(terms))
+        for m1 in self.monomials | ({one} if self.const else set()):
+            for m2 in other.monomials | ({one} if other.const else set()):
+                terms ^= {m1 | m2}
+        return ZhegalkinPoly(one in terms, frozenset(terms - {one}))
 
     def negate(self) -> ZhegalkinPoly:
         return ZhegalkinPoly(not self.const, self.monomials)
@@ -175,7 +164,7 @@ def to_xdnf(cond: CondExpr) -> ZhegalkinPoly:
 
 @dataclass(frozen=True)
 class DirectPlan:
-    """Use the condition's own qubits as a plain conjunction of controls."""
+    """Use the condition's literals as controls: q requires qubit q at 1, ~q at 0."""
 
     controls: tuple[int, ...]
     compute: tuple[PrimitiveGate, ...] = ()
@@ -194,19 +183,24 @@ class SynthPlan:
 EnablePlan = DirectPlan | SynthPlan
 
 
-def synthesize_enable(poly: ZhegalkinPoly, machine, force_scratch: bool = False) -> EnablePlan:
-    """Build the enable plan for a non-constant condition polynomial."""
+def synthesize_enable(poly: ZhegalkinPoly, machine) -> EnablePlan:
+    """Build the enable plan for a non-constant condition polynomial.
+
+    The conjunction of `pos` at 1 and `neg` at 0 expands to the 2^|neg| terms
+    pos | s, s a subset of neg (the constant when both are empty).  Every term
+    contains `pos`, so a polynomial with 2^|neg| of them is that conjunction."""
     if poly.is_false() or poly.is_true():
         raise QclRuntimeError("cannot synthesize an enable for a constant condition")
-    monomials = poly.canonical_monomials()
-    if not force_scratch and not poly.const and len(monomials) == 1:
-        return DirectPlan(tuple(sorted(monomials[0])))
+    pos = frozenset() if poly.const else frozenset.intersection(*poly.monomials)
+    neg = poly.support() - pos
+    if len(poly.monomials) + poly.const == 2 ** len(neg):
+        return DirectPlan((*sorted(pos), *(~q for q in sorted(neg))))
     scratch = machine.allocate_register(1)
     e = scratch.qubits[0]
     gates: list[PrimitiveGate] = []
     if poly.const:
         gates.append(PrimitiveGate("X", None, e, frozenset()))
-    for m in monomials:
+    for m in poly.canonical_monomials():
         gates.append(PrimitiveGate("X", None, e, frozenset(m)))
     return SynthPlan((e,), tuple(gates), scratch)
 
@@ -218,13 +212,13 @@ def synthesize_enable(poly: ZhegalkinPoly, machine, force_scratch: bool = False)
 def exec_quantum_if(ctx, poly: ZhegalkinPoly, run_then, run_else=None) -> None:
     """Run a conditional block pair under a non-constant condition polynomial.
 
-    The then-branch runs with the enable controls active; with an else-branch
-    present the enable qubit is inverted in between, exactly the
-    conditional-call / flip / inverse conditional-call / flip expansion.
+    The then-branch runs under the enable of `poly` and the else-branch under
+    the enable of its negation, each computed and uncomputed around its branch.
     """
-    runs = (run_then,) if run_else is None else (run_then, run_else)
-    for _ in _under_enable(ctx, poly, runs):
-        pass
+    for branch, run in ((poly, run_then), (poly.negate(), run_else)):
+        if run is not None:
+            for _ in _under_enable(ctx, branch, run):
+                pass
 
 
 def exec_forking_if(ctx, path, poly: ZhegalkinPoly, then_block, else_block,
@@ -241,28 +235,17 @@ def exec_forking_if(ctx, path, poly: ZhegalkinPoly, then_block, else_block,
     """
     for branch, block in ((poly.negate(), else_block), (poly, then_block)):
         ctx.note_fork()
-        join.append(_under_enable(ctx, branch, (partial(run_block, block, path, join),)))
+        join.append(_under_enable(ctx, branch, partial(run_block, block, path, join)))
 
 
-def _under_enable(ctx, poly: ZhegalkinPoly, runs):
-    """Compute the enable of `poly`, call each of `runs` under it with the enable
-    flipped between them, then uncompute it; suspends after each call."""
-    # the enable flipped between branches must be a scratch qubit: a condition
-    # qubit would read inverted in the else-branch, and cannot be flipped at all
-    # under an enclosing condition that controls it
-    plan = synthesize_enable(poly, ctx.machine, force_scratch=len(runs) > 1)
+def _under_enable(ctx, poly: ZhegalkinPoly, run):
+    """Compute the enable of `poly`, call `run` under it, suspend, then uncompute it."""
+    plan = synthesize_enable(poly, ctx.machine)
     emitted = [ctx.emit_gate(g) for g in plan.compute]
-    guard = poly.support()
-    toggle = plan.controls[0]
-    for k, run in enumerate(runs):
-        if k:
-            ctx.emit("X", None, toggle, ())
-        ctx.push_enable(plan.controls, guard)
-        run()
-        yield
-        ctx.pop_enable()
-    if len(runs) > 1:
-        ctx.emit("X", None, toggle, ())
+    ctx.push_enable(plan.controls, poly.support())
+    run()
+    yield
+    ctx.pop_enable()
     for g in adjoint_of_tape(emitted):
         ctx.emit_gate(g)
     if plan.scratch is not None:

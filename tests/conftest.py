@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from qclite import corpus_source
+from qclite import DirectPlan, corpus_source
 from qclite.session import Session, SessionConfig
 
 
@@ -67,6 +67,46 @@ def permutation_of(matrix: np.ndarray, atol: float = 1e-9):
             return None
         perm.append(int(hits[0]))
     return perm if len(set(perm)) == dim else None
+
+
+def enable_column(plan, machine, n_qubits: int) -> list[bool]:
+    """The enable of an enable plan on each basis state of qubits 0..n-1.
+
+    A direct plan's literals (q: qubit q is 1, ~q: it is 0) are read off the
+    basis index, and its machine must hold no qubit beyond the n.  A
+    synthesized plan's compute gates run on the machine; its scratch qubit
+    holds the enable, every other bit must stay put, and the reversed
+    adjoints must restore the basis state exactly.
+    """
+    if isinstance(plan, DirectPlan):
+        assert plan.scratch is None and not plan.compute
+        assert machine.allocated == set(range(n_qubits)), "a direct plan allocates nothing"
+        return [all((k >> (q if q >= 0 else ~q) & 1) == (q >= 0) for q in plan.controls)
+                for k in range(1 << n_qubits)]
+    (e,) = plan.controls
+    assert plan.scratch.qubits == (e,) and e >= n_qubits
+    column = []
+    for k in range(1 << n_qubits):
+        machine.amp[:] = 0.0
+        machine.amp[k] = 1.0
+        for g in plan.compute:
+            machine.apply_primitive(g)
+        landed = int(np.argmax(np.abs(machine.amp)))
+        assert landed & ~(1 << e) == k and abs(machine.amp[landed] - 1.0) < 1e-9
+        column.append(bool(landed >> e & 1))
+        for g in reversed(plan.compute):
+            machine.apply_primitive(g.adjoint())
+        assert int(np.argmax(np.abs(machine.amp))) == k
+        assert abs(machine.amp[k] - 1.0) < 1e-9
+    return column
+
+
+def is_subcube(column: list[bool], n_qubits: int) -> bool:
+    """Whether the basis states where `column` holds are exactly those that fix
+    some bits and leave the other k bits free (2^k states)."""
+    states = [k for k, hit in enumerate(column) if hit]
+    fixed = [q for q in range(n_qubits) if len({k >> q & 1 for k in states}) == 1]
+    return bool(states) and len(states) == 1 << (n_qubits - len(fixed))
 
 
 @pytest.fixture(scope="session")

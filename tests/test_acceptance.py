@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from qclite import (MachineState, PrimitiveGate, check_static_semantics, parse_source,
-                    synthesize_enable, to_xdnf, cond_truth)
+from qclite import (DirectPlan, MachineState, PrimitiveGate, check_static_semantics,
+                    parse_source, synthesize_enable, to_xdnf, cond_truth)
 from qclite.cli import repl_loop
 from qclite.qcond import CondAtom, CondBin, CondConst, CondNot
 from qclite.session import Session, SessionConfig
-from conftest import dft_matrix, make_session, permutation_of, routine_matrix
+from conftest import (dft_matrix, enable_column, is_subcube, make_session, permutation_of,
+                      routine_matrix)
 
 TOL = 1e-9
 
@@ -153,7 +154,7 @@ def _random_condition(rng, qubits, depth):
 
 def test_criterion_5_condition_compiler():
     rng = np.random.default_rng(20260809)
-    tested = 0
+    tested = direct = 0
     while tested < 200:
         n = int(rng.integers(1, 6))
         cond = _random_condition(rng, n, 4)
@@ -163,21 +164,17 @@ def test_criterion_5_condition_compiler():
         tested += 1
         machine = MachineState(8)
         machine.allocate_register(n)
-        plan = synthesize_enable(poly, machine, force_scratch=True)
-        e = plan.controls[0]
-        for k in range(1 << n):
-            machine.amp[:] = 0.0
-            machine.amp[k] = 1.0
-            for g in plan.compute:
-                machine.apply_primitive(g)
-            landed = int(np.argmax(np.abs(machine.amp)))
-            expected = cond_truth(cond, {q: bool(k >> q & 1) for q in range(n)})
-            assert (landed >> e) & 1 == int(expected)
-            for g in reversed(plan.compute):
-                machine.apply_primitive(g.adjoint())
-            assert int(np.argmax(np.abs(machine.amp))) == k
-            assert abs(machine.amp[k] - 1.0) < TOL
-        machine.free_register(plan.scratch)  # legal only because scratch is |0>
+        plan = synthesize_enable(poly, machine)
+        column = enable_column(plan, machine, n)
+        truth = [cond_truth(cond, {q: bool(k >> q & 1) for q in range(n)})
+                 for k in range(1 << n)]
+        assert column == truth
+        # a direct plan exactly when the truth set is a subcube of the basis states
+        assert isinstance(plan, DirectPlan) == is_subcube(truth, n)
+        direct += isinstance(plan, DirectPlan)
+        if plan.scratch is not None:
+            machine.free_register(plan.scratch)  # legal only because scratch is |0>
+    assert 0 < direct < tested
     report(5, "200 random conditions match brute-force truth tables")
 
 

@@ -136,6 +136,23 @@ class TestReplBehaviour:
                           "qcl> print 1;\n1\nqcl> \n")
         assert capsys.readouterr().err == ""
 
+    def test_large_integers_keep_loop_alive(self, capsys):
+        _, output = run_repl("print 2^20000;\n"
+                             "qureg q[2^20000];\n"
+                             "int k = 2^3000;\n"
+                             "real r = k;\n"
+                             "print k mod 7;\n", qubits=4, echo=False)
+        assert output == ("qcl> print 2^20000;\n"
+                          "! runtime error at 1:1: integer too large to print\n"
+                          "qcl> qureg q[2^20000];\n"
+                          "! allocation error at 1:1: out of qubits: requested ~2^20000, "
+                          "only 4 free\n"
+                          "qcl> int k = 2^3000;\n"
+                          "qcl> real r = k;\n"
+                          "! runtime error at 1:1: value is out of range for a real\n"
+                          "qcl> print k mod 7;\n1\nqcl> \n")
+        assert capsys.readouterr().err == ""
+
     def test_deep_recursion_is_a_runtime_error(self):
         _, output = run_repl("procedure p(int n) { if n > 0 { p(n-1); } }\n"
                              "p(20000);\n"

@@ -61,6 +61,20 @@ class TestEvalExpr:
             make_session().run_line(line)
         assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
 
+    @pytest.mark.parametrize("line,message,column", [
+        ("print 2^20000;", "integer too large to print", 1),
+        ("int k = 2^3000; real r = k;", "value is out of range for a real", 17),
+        ("int k = 2^3000; complex z; z = k;", "value is out of range for a complex", 28),
+        ("qureg q[2^20000];", "out of qubits: requested ~2^20000, only 16 free", 1),
+        ("qureg q[40];", "out of qubits: requested 40, only 16 free", 1),
+        ("qureg a[2]; H(a[2^20000]);", "register index ~2^20000 out of range for length 2", 13),
+        ("qureg a[2]; H(a[0:2^70]);", "register slice 0:~2^70 out of range for length 2", 13),
+    ])
+    def test_large_integers_are_runtime_errors(self, line, message, column):
+        with pytest.raises(QclRuntimeError) as err:
+            make_session().run_line(line)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
+
     @pytest.mark.parametrize("call", ["Rot(1e400, q);", "Rot(1e400-1e400, q);",
                                       "Phase(1e400);", "Rot(2^1024, q);"])
     def test_non_finite_angle_leaves_the_state_alone(self, call):

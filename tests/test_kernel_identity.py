@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclite import MachineState, PrimitiveGate, RegisterMap
+from qclite import MachineState, PrimitiveGate, RegisterError, RegisterMap
 from qclite.machine import _DRAW_CHUNK as CHUNK, _gate_plan, apply_gate
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -119,6 +119,42 @@ def test_apply_gate_matches_reference_bytes(case):
     assert mine.tobytes() == theirs.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(gates_on_arrays(), st.data())
+def test_zero_controls_match_flipped_positive_controls(case, data):
+    # a 0-control on q is a 1-control on q between two X gates on q;
+    # X only moves exact copies, so the bytes must agree
+    shape, gate, seed = case
+    negated = data.draw(st.sets(st.sampled_from(sorted(gate.controls)))
+                        if gate.controls else st.just(set()))
+    mine = random_amplitudes(shape, seed)
+    theirs = mine.copy()
+    controls = (gate.controls - negated) | {~q for q in negated}
+    apply_gate(mine, PrimitiveGate(gate.kind, gate.param, gate.target, frozenset(controls)))
+    for q in negated:
+        reference_apply_gate(theirs, g("X", None, q))
+    reference_apply_gate(theirs, gate)
+    for q in negated:
+        reference_apply_gate(theirs, g("X", None, q))
+    assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("gate", [g("X", None, 0, (1, ~1)), g("H", None, 2, (~0, 0, 1)),
+                                  g("ROT", 0.7, 1, (~2, 2)), g("PHASE", 0.3, None, (~1, 1))])
+def test_contradictory_controls_select_nothing(gate):
+    amp = random_amplitudes(8, 3)
+    before = amp.tobytes()
+    apply_gate(amp, gate)
+    assert amp.tobytes() == before
+
+
+def test_unallocated_zero_control_is_named():
+    machine = MachineState(4)
+    machine.allocate_register(2)
+    with pytest.raises(RegisterError, match="qubit 3 is not allocated"):
+        machine.apply_primitive(g("X", None, 0, (1, ~3)))
+
+
 @pytest.mark.parametrize("n", [3, 14])
 def test_unknown_kind_restores_bufsize(n):
     amp = random_amplitudes(1 << n, 0)
@@ -146,6 +182,17 @@ def test_h_and_phase_allocate_no_buffers_on_16_qubits():
     amp = random_amplitudes(1 << 16, 1)
     gates = [g("H", None, t) for t in range(16)]
     gates += [g("PHASE", 0.1 * i, None, (i, j)) for i in range(16) for j in range(i)]
+    peaks = {gate: peak_bytes(apply_gate, amp, gate) for gate in gates}
+    worst = max(peaks, key=peaks.get)
+    assert peaks[worst] < 16 * 1024, (worst, peaks[worst])
+
+
+def test_zero_controls_allocate_no_buffers_on_16_qubits():
+    # the same bound with a 0-control in every gate
+    _gate_plan.cache_clear()
+    amp = random_amplitudes(1 << 16, 1)
+    gates = [g("H", None, t, (~((t + 5) % 16),)) for t in range(16)]
+    gates += [g("PHASE", 0.1 * i, None, (i, ~j)) for i in range(16) for j in range(i)]
     peaks = {gate: peak_bytes(apply_gate, amp, gate) for gate in gates}
     worst = max(peaks, key=peaks.get)
     assert peaks[worst] < 16 * 1024, (worst, peaks[worst])

@@ -11,7 +11,7 @@ from qclite import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, ExecConte
                     parse_interactive, synthesize_enable, tape_matrix, to_xdnf)
 from qclite.machine import MachineState
 from qclite.stdgates import LEVEL_PROCEDURE
-from conftest import make_session, routine_matrix
+from conftest import enable_column, is_subcube, make_session, routine_matrix
 
 
 def atom(q):
@@ -120,32 +120,52 @@ class TestSynthesizeEnable:
     def test_constant_term_emits_plain_flip(self):
         machine = MachineState(8)
         machine.allocate_register(2)
-        poly = poly_of(CondNot(CondBin("or", atom(0), atom(1))))
+        poly = poly_of(CondNot(CondBin("xor", atom(0), atom(1))))
         plan = synthesize_enable(poly, machine)
+        assert isinstance(plan, SynthPlan)
         assert plan.compute[0].controls == frozenset()
 
-    def _enable_truth(self, cond, n, force=True):
-        """Simulate the plan on every basis state; return the enable column."""
-        poly = to_xdnf(cond)
+    def test_negated_literals_become_zero_controls(self):
+        machine = MachineState(8)
+        machine.allocate_register(3)
+        nor = poly_of(CondNot(CondBin("or", atom(0), atom(1))))
+        assert synthesize_enable(nor, machine) == DirectPlan((~0, ~1))
+        mixed = poly_of(CondBin("and", atom(2), CondNot(atom(0))))
+        assert synthesize_enable(mixed, machine) == DirectPlan((2, ~0))
+        assert synthesize_enable(poly_of(CondNot(atom(1))), machine) == DirectPlan((~1,))
+        assert machine.allocated == {0, 1, 2}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(0, 4), st.booleans(), min_size=1),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_conjunctions_of_literals_are_direct(self, literals, de_morgan, rnd):
+        # q -> True is "q at 1", False is "q at 0"; written as an AND of the
+        # literals, or as the NOT of an OR of their negations
+        items = list(literals.items())
+        rnd.shuffle(items)
+        cond = None
+        for q, positive in items:
+            lit = atom(q) if positive != de_morgan else CondNot(atom(q))
+            cond = lit if cond is None else CondBin("or" if de_morgan else "and", cond, lit)
+        if de_morgan:
+            cond = CondNot(cond)
+        machine = MachineState(8)
+        machine.allocate_register(5)
+        plan = synthesize_enable(to_xdnf(cond), machine)
+        pos = sorted(q for q, positive in literals.items() if positive)
+        neg = sorted(q for q, positive in literals.items() if not positive)
+        assert plan == DirectPlan((*pos, *(~q for q in neg)))
+        assert enable_column(plan, machine, 5) == [
+            cond_truth(cond, {q: bool(k >> q & 1) for q in range(5)}) for k in range(32)]
+
+    def _enable_truth(self, cond, n):
+        """Build the plan and read its enable on every basis state."""
         machine = MachineState(8)
         machine.allocate_register(n)
-        plan = synthesize_enable(poly, machine, force_scratch=force)
-        e = plan.controls[0]
-        values = {}
-        for k in range(1 << n):
-            machine.amp[:] = 0.0
-            machine.amp[k | 0 << e] = 1.0
-            for g in plan.compute:
-                machine.apply_primitive(g)
-            hit = int(np.argmax(np.abs(machine.amp)))
-            values[k] = (hit >> e) & 1
-            for g in reversed(plan.compute):
-                machine.apply_primitive(g.adjoint())
-            restored = int(np.argmax(np.abs(machine.amp)))
-            assert restored == k, "uncompute must restore the scratch"
-        return values
+        plan = synthesize_enable(to_xdnf(cond), machine)
+        return plan, enable_column(plan, machine, n)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_enable_equals_condition_on_every_basis_state(self, seed):
         rng = np.random.default_rng(seed)
@@ -154,10 +174,12 @@ class TestSynthesizeEnable:
         poly = to_xdnf(cond)
         if poly.is_true() or poly.is_false():
             return
-        values = self._enable_truth(cond, n)
-        for k in range(1 << n):
-            assignment = {q: bool(k >> q & 1) for q in range(n)}
-            assert values[k] == int(cond_truth(cond, assignment))
+        plan, values = self._enable_truth(cond, n)
+        truth = [cond_truth(cond, {q: bool(k >> q & 1) for q in range(n)})
+                 for k in range(1 << n)]
+        assert values == truth
+        # direct exactly when the truth set is a subcube of the basis states
+        assert isinstance(plan, DirectPlan) == is_subcube(truth, n)
 
 
 class TestConditionalizeTape:
@@ -288,6 +310,110 @@ class TestQuantumIf:
         assert s.machine.allocated == before
 
 
+# -- nested quantum if/else against a basis-state model ------------------------------
+#
+# A program is a list of statements over a condition register c[n] and a target
+# register t[m]: ("flip", j) is Not(t[j]), ("phase", k) is Phase(0.4 * k), and
+# ("if", cond, then, orelse) a quantum if whose condition is a tree over c:
+# ("q", i) is c[i], ("not", a), and (op, a, b) for op in and / or / xor.
+
+def cond_trees(n):
+    return st.recursive(
+        st.integers(0, n - 1).map(lambda i: ("q", i)),
+        lambda sub: st.one_of(sub.map(lambda a: ("not", a)),
+                              st.tuples(st.sampled_from(["and", "or", "xor"]), sub, sub)),
+        max_leaves=4)
+
+
+def programs(n, m):
+    simple = st.one_of(st.tuples(st.just("flip"), st.integers(0, m - 1)),
+                       st.tuples(st.just("phase"), st.integers(1, 3)))
+    return st.recursive(
+        st.lists(simple, min_size=1, max_size=2),
+        lambda sub: st.lists(st.one_of(simple, st.tuples(
+            st.just("if"), cond_trees(n), sub, st.one_of(st.none(), sub))),
+            min_size=1, max_size=3),
+        max_leaves=8)
+
+
+def cond_text(c):
+    if c[0] == "q":
+        return f"c[{c[1]}]"
+    if c[0] == "not":
+        return f"not ({cond_text(c[1])})"
+    return f"({cond_text(c[1])} {c[0]} {cond_text(c[2])})"
+
+
+def program_text(prog):
+    parts = []
+    for stmt in prog:
+        if stmt[0] == "flip":
+            parts.append(f"Not(t[{stmt[1]}]);")
+        elif stmt[0] == "phase":
+            parts.append(f"Phase({0.4 * stmt[1]});")
+        else:
+            text = f"if {cond_text(stmt[1])} {{ {program_text(stmt[2])} }}"
+            if stmt[3] is not None:
+                text += f" else {{ {program_text(stmt[3])} }}"
+            parts.append(text)
+    return " ".join(parts)
+
+
+def model_truth(c, bits):
+    if c[0] == "q":
+        return bool(bits >> c[1] & 1)
+    if c[0] == "not":
+        return not model_truth(c[1], bits)
+    a, b = model_truth(c[1], bits), model_truth(c[2], bits)
+    return {"and": a and b, "or": a or b, "xor": a != b}[c[0]]
+
+
+def model_run(prog, bits, t=0, phase=0.0):
+    """The target bits and phase a program leaves on condition bits `bits`."""
+    for stmt in prog:
+        if stmt[0] == "flip":
+            t ^= 1 << stmt[1]
+        elif stmt[0] == "phase":
+            phase += 0.4 * stmt[1]
+        else:
+            branch = stmt[2] if model_truth(stmt[1], bits) else stmt[3]
+            t, phase = model_run(branch or (), bits, t, phase)
+    return t, phase
+
+
+def assert_program_matches_model(prog, n, m):
+    s = make_session(qubits=16)
+    s.run_line(f"qureg c[{n}]; qureg t[{m}]; H(c);")
+    s.run_line(program_text(prog))
+    want = np.zeros(1 << (n + m), dtype=complex)
+    for bits in range(1 << n):
+        t, phase = model_run(prog, bits)
+        want[t << n | bits] = np.exp(1j * phase) / np.sqrt(1 << n)
+    assert s.machine.allocated == set(range(n + m)), "every enable must be released"
+    assert s.machine.amp.size == want.size
+    assert np.max(np.abs(s.machine.amp - want)) < 1e-9, program_text(prog)
+
+
+@pytest.mark.parametrize("prog", [
+    # enclosing conditions on the same qubit: the inner else is the live branch
+    [("if", ("q", 0), [("if", ("not", ("q", 0)), [("flip", 0)], [("flip", 1)])], None)],
+    [("if", ("not", ("q", 0)), [("if", ("q", 0), [("flip", 0)], [("phase", 1)])],
+      [("if", ("q", 0), [("flip", 1)], [("flip", 0)])])],
+    [("if", ("xor", ("q", 0), ("q", 1)), [("flip", 0)],
+      [("if", ("or", ("q", 0), ("not", ("q", 1))), [("flip", 1)], [("phase", 2)])])],
+])
+def test_nested_if_else_examples(prog):
+    assert_program_matches_model(prog, 2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.integers(1, 3).flatmap(
+    lambda m: st.tuples(st.just(n), st.just(m), programs(n, m)))))
+def test_nested_if_else_matches_basis_state_model(case):
+    n, m, prog = case
+    assert_program_matches_model(prog, n, m)
+
+
 class TestForking:
     def test_demux_truth_table(self, corpus):
         matrix = routine_matrix(corpus["demux.qcl"], "qureg s[2]; qureg q[4];",
@@ -398,6 +524,29 @@ class TestForking:
         cond = CondBin("or", CondNot(atom(3)), CondBin("and", atom(1), CondConst(True)))
         assert cond_support(cond) == frozenset({1, 3})
         assert cond_support(CondConst(False)) == frozenset()
+
+    def test_demux_and_inverse_on_sixteen_qubits(self, corpus, monkeypatch):
+        # the else-paths run under 0-controls, so neither call takes a scratch
+        # qubit above the 11 of its registers
+        s = make_session(qubits=16)
+        s.run_source(corpus["demux.qcl"])
+        s.run_line("qureg sel[3]; qureg out[8]; H(sel);")
+        start = s.machine.amp.tobytes()
+        peak = [s.machine.materialized]
+        allocate = MachineState.allocate_register
+
+        def tracked(machine, m):
+            reg = allocate(machine, m)
+            peak[0] = max(peak[0], machine.materialized)
+            return reg
+
+        monkeypatch.setattr(MachineState, "allocate_register", tracked)
+        s.run_line("demux(sel, out);")
+        assert peak[0] <= 11 and s.machine.amp.tobytes() != start
+        s.run_line("!demux(sel, out);")
+        assert peak[0] <= 11
+        assert s.machine.amp.tobytes() == start
+        assert len(s.machine.allocated) == 11
 
     def test_fork_inside_inverted_call(self, corpus):
         matrix = routine_matrix(corpus["demux.qcl"], "qureg s[2]; qureg q[4];",
