@@ -270,6 +270,7 @@ class Interpreter:
                                   item.line, item.column) from None
         finally:
             sys.setrecursionlimit(limit)
+            self.prog.machine.flush()
         if isinstance(item, ast.ConstDecl):
             if item.name in self.prog.consts.vars:
                 self.prog.clear_tapes()

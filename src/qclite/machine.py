@@ -29,6 +29,28 @@ and a small buffer slows any ufunc that must cast (an int32 + float64 add of
 2^16 elements takes about 1.5x as long), so the kernel restores the caller's
 size in a finally block.
 
+On those same wide states MachineState holds consecutive PHASE gates, or
+consecutive X gates, as a pending run, and apply_run applies the run in one
+step.  Every reader and writer of the amplitudes goes through the `amp`
+property, which flushes the run first: measure_register, is_empty_register,
+free_register, the grow in allocate_register, reset_state, print_terms (the
+echo) and format_dump, and any caller outside the module.  A gate of another
+kind flushes it too, and the interpreter flushes at the end of every
+statement, also one that raises.  Below 2^14 amplitudes apply_primitive applies
+each gate at once, and the amplitudes are those of earlier versions byte for
+byte.
+
+A PHASE run whose gates each add at most one literal to the literals all of
+them share is one multiply, over the view where the shared literals hold, by a
+table of factors indexed by the other qubits; it agrees with the gates applied
+one by one up to rounding, not bit for bit.  Warm and cold sessions still agree
+bit for bit, because a replayed tape and a walked body put the same gates
+through the same runs.  An X run of singly controlled gates whose composed
+basis map only permutes qubits is one data move, bit-identical to its gates.
+Any other run goes through apply_gate a gate at a time.  A flush allocates no
+more than a singly controlled X does, two quarter-state copies, and nothing of
+state size outlives it: no table or index is kept between flushes.
+
 measure_register and is_empty_register take their views from the same plans.
 A measurement draws its outcome from the running sum of |amp|^2 a chunk at a
 time, holding one chunk's sums rather than the whole state's.
@@ -234,6 +256,149 @@ def apply_gate(amp: np.ndarray, g: PrimitiveGate) -> None:
             np.setbufsize(bufsize)
 
 
+def _phase_run(amp: np.ndarray, run) -> bool:
+    """Apply a PHASE run as a multiply by a table of factors; False when it cannot.
+
+    The literals common to every gate fix the view; each gate may add at most
+    one more literal, so the phase is a product of one factor per value of
+    each extra qubit.  A table holds the products over up to n-2 of those
+    qubits (a quarter of the state), built by doubling: bit j of its index is
+    its j-th lowest qubit.  More extra qubits take one multiply per table.
+    """
+    run = [g for g in run if not any(~c in g.controls for c in g.controls)]
+    if not run:
+        return True
+    # a list: on CPython 3.11 unpacking a generator here grows the RSS flush after flush
+    common = frozenset.intersection(*[g.controls for g in run])
+    const, factors = 1.0, {}
+    for g in run:
+        rest = g.controls - common
+        if len(rest) > 1:
+            return False
+        f = cmath.exp(1j * g.param)
+        if rest:
+            (lit,) = rest
+            factors[lit] = factors.get(lit, 1.0) * f
+        else:
+            const *= f
+    qubits = sorted({c if c >= 0 else ~c for c in factors})
+    width = max(amp.size.bit_length() - 3, 1)
+    buf = np.empty(1 << width, dtype=complex)
+    bufsize = np.setbufsize(_GATE_BUFSIZE) if amp.size >= _SCOPED_BUFFER_SIZE else None
+    try:
+        for start in range(0, max(len(qubits), 1), width):
+            part = tuple(qubits[start : start + width])
+            table = buf[: 1 << len(part)]
+            table[0] = const if start == 0 else 1.0
+            m = 1
+            for q in part:
+                np.multiply(table[:m], factors.get(q, 1.0), out=table[m : 2 * m])
+                if ~q in factors:
+                    table[:m] *= factors[~q]
+                m *= 2
+            dims, index, table_dims, order = _table_plan(amp.size, common, part)
+            view = amp.reshape(dims, copy=False)[index].transpose(order)
+            np.multiply(view, table.reshape(table_dims).transpose(order), out=view, order="C")
+    finally:
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+    return True
+
+
+@functools.lru_cache(maxsize=256)
+def _table_plan(size: int, common: frozenset[int], qubits: tuple[int, ...]):
+    """Reshape, index and axis order of the view where the `common` literals hold,
+    and the table's reshape against it.
+
+    Like _view_plan, each fixed qubit gets an axis of 2 and adjacent free qubits
+    merge into one axis; a run of table qubits and a run of other free qubits
+    stay apart, and the table's axis over the latter has length 1.
+    """
+    bits = {c if c >= 0 else ~c: int(c >= 0) for c in common}
+    tabled = set(qubits)
+    dims: list[int] = []
+    index: list = []
+    table_dims: list[int] = []
+    for q in range(size.bit_length() - 2, -1, -1):
+        if q in bits:
+            dims.append(2)
+            index.append(bits[q])
+        elif index and index[-1] == slice(None) and (table_dims[-1] > 1) == (q in tabled):
+            dims[-1] *= 2
+            table_dims[-1] *= 1 + (q in tabled)
+        else:
+            dims.append(2)
+            index.append(slice(None))
+            table_dims.append(2 if q in tabled else 1)
+    runs = [d for d, i in zip(dims, index) if i == slice(None)]
+    order = list(range(len(runs)))
+    if runs and runs[-1] < _SHORT_RUN:
+        order.append(order.pop(runs.index(max(runs))))
+    return tuple(dims), (*index, ...), tuple(table_dims), tuple(order)
+
+
+def _permute_run(amp: np.ndarray, run) -> bool:
+    """Apply an X run that permutes qubits as one data move; False when it does not.
+
+    Each gate must have exactly one positive control, so it XORs one bit row of
+    the basis map into another; the run permutes qubits when every row ends up
+    a single bit.  The top two qubits are put in place by exchanging quarter
+    views, then each quarter goes through a transposed copy.  Only copies move,
+    through one buffer of a quarter of the state, the size of the copy a singly
+    controlled X makes.
+    """
+    rows: dict[int, int] = {}                 # qubit -> the input bits it XORs
+    for g in run:
+        if len(g.controls) != 1:
+            return False
+        (c,) = g.controls
+        if c < 0:
+            return False
+        rows[g.target] = rows.get(g.target, 1 << g.target) ^ rows.get(c, 1 << c)
+    if any(row.bit_count() != 1 for row in rows.values()):
+        return False
+    # qubit -> the qubit whose bit it takes
+    source = {q: row.bit_length() - 1 for q, row in rows.items() if row != 1 << q}
+    if not source:
+        return True
+    n = amp.size.bit_length() - 1
+    buf = np.empty(amp.size // 4, dtype=amp.dtype)
+    for q in (n - 1, n - 2):
+        s = source.get(q, q)
+        if s == q:
+            continue
+        quarters = amp.reshape(1 << (n - 1 - q), 2, 1 << (q - 1 - s), 2, 1 << s)
+        a, b = quarters[:, 0, :, 1], quarters[:, 1, :, 0]
+        saved = buf.reshape(a.shape)
+        saved[...] = a
+        a[...] = b
+        b[...] = saved
+        swap = {q: s, s: q}                   # what is left is the swap, then the run
+        source = {t: r for t, p in source.items() if (r := swap.get(p, p)) != t}
+    if not source:
+        return True
+    axes = list(range(n - 2))                 # axis i holds qubit n-3-i
+    for q, p in source.items():
+        axes[n - 3 - q] = n - 3 - p
+    moved = buf.reshape((2,) * (n - 2))
+    for quarter in amp.reshape(4, -1):
+        moved[...] = quarter.reshape((2,) * (n - 2)).transpose(axes)
+        quarter[...] = buf
+    return True
+
+
+_FUSED = {"PHASE": _phase_run, "X": _permute_run}
+
+
+def apply_run(amp: np.ndarray, run) -> None:
+    """Apply gates of one kind in place to 2^n amplitudes: a run that fuses in one
+    update, anything else one gate at a time through apply_gate."""
+    if len(run) > 1 and _FUSED[run[0].kind](amp, run):
+        return
+    for g in run:
+        apply_gate(amp, g)
+
+
 def tape_matrix(tape, n_qubits: int) -> np.ndarray:
     """The 2^n x 2^n matrix of a tape: the tape applied to every column of the identity."""
     out = np.eye(1 << n_qubits, dtype=complex)
@@ -261,11 +426,29 @@ class MachineState:
             raise AllocationError("machine needs at least one qubit")
         self.total = total_qubits
         self.dense_limit = min(dense_limit, total_qubits)
-        self.amp = np.array([1.0 + 0.0j], dtype=complex)
+        self._amp = np.array([1.0 + 0.0j], dtype=complex)
+        self._run: list[PrimitiveGate] = []     # gates of one kind not yet applied to _amp
         self.materialized = 0
         self.allocated: set[int] = set()
         self.rng = np.random.default_rng(seed)
         self.version = 0
+
+    @property
+    def amp(self) -> np.ndarray:
+        """The amplitudes, with every gate applied so far."""
+        self.flush()
+        return self._amp
+
+    @amp.setter
+    def amp(self, value: np.ndarray) -> None:
+        self.flush()
+        self._amp = value
+
+    def flush(self) -> None:
+        """Apply the pending run of gates."""
+        if self._run:
+            run, self._run = self._run, []
+            apply_run(self._amp, run)
 
     # -- allocation ----------------------------------------------------------
 
@@ -312,7 +495,15 @@ class MachineState:
             q = c if c >= 0 else ~c
             if q not in self.allocated:
                 raise RegisterError(f"qubit {q} is not allocated")
-        apply_gate(self.amp, g)
+        if self._amp.size < _SCOPED_BUFFER_SIZE:
+            apply_gate(self._amp, g)
+        else:
+            if self._run and self._run[0].kind != g.kind:
+                self.flush()
+            if g.kind in _FUSED:
+                self._run.append(g)
+            else:
+                apply_gate(self._amp, g)
         self.version += 1
 
     def measure_register(self, reg: RegisterMap) -> int:

@@ -539,7 +539,12 @@ class Parser:
     def parse_primary(self) -> Node:
         tok = self.advance()
         if tok.kind == "int":
-            return IntLit(int(tok.text), line=tok.line, column=tok.column)
+            try:
+                value = int(tok.text)
+            except ValueError:      # past Python's str-to-int digit limit
+                raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                                 tok.line, tok.column) from None
+            return IntLit(value, line=tok.line, column=tok.column)
         if tok.kind == "real":
             return RealLit(float(tok.text), line=tok.line, column=tok.column)
         if tok.kind == "ident":

@@ -153,6 +153,17 @@ class TestReplBehaviour:
                           "qcl> print k mod 7;\n1\nqcl> \n")
         assert capsys.readouterr().err == ""
 
+    def test_long_integer_literal_is_a_parse_error(self, capsys):
+        digits = "1" * 5000
+        _, output = run_repl(f"print {digits};\nint k = 2 + {digits};\nprint 1;\n",
+                             qubits=4, echo=False)
+        assert output == (f"qcl> print {digits};\n"
+                          "! parse error at 1:7: integer literal of 5000 digits is too long\n"
+                          f"qcl> int k = 2 + {digits};\n"
+                          "! parse error at 1:13: integer literal of 5000 digits is too long\n"
+                          "qcl> print 1;\n1\nqcl> \n")
+        assert capsys.readouterr().err == ""
+
     def test_deep_recursion_is_a_runtime_error(self):
         _, output = run_repl("procedure p(int n) { if n > 0 { p(n-1); } }\n"
                              "p(20000);\n"

@@ -3,7 +3,10 @@
 `apply_gate` runs its ufuncs on merged, reordered views under a scoped ufunc
 buffer, and `measure_register` draws over fixed-size chunks.  Neither changes
 an elementwise operation, so both must match the earlier code, copied below,
-byte for byte.
+byte for byte.  `apply_run` fuses runs of gates: it must match the per-gate
+`apply_gate` loop, within 1e-12 for a diagonal run, whose factors are
+multiplied in another order, and byte for byte wherever it only moves copies
+or falls back to that loop.
 """
 
 import cmath
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qclite import MachineState, PrimitiveGate, RegisterError, RegisterMap
-from qclite.machine import _DRAW_CHUNK as CHUNK, _gate_plan, apply_gate
+import qclite.machine
+from qclite.machine import _DRAW_CHUNK as CHUNK, _gate_plan, apply_gate, apply_run
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -196,6 +200,137 @@ def test_zero_controls_allocate_no_buffers_on_16_qubits():
     peaks = {gate: peak_bytes(apply_gate, amp, gate) for gate in gates}
     worst = max(peaks, key=peaks.get)
     assert peaks[worst] < 16 * 1024, (worst, peaks[worst])
+
+
+# -- apply_run ------------------------------------------------------------------
+
+def literal(q, positive):
+    return q if positive else ~q
+
+
+@st.composite
+def diagonal_runs(draw):
+    """A PHASE run on 2..10 qubits that fuses: literals common to every gate, and
+    per gate at most one more literal, none (a constant phase) or a
+    contradictory pair (a gate that selects nothing)."""
+    n = draw(st.integers(2, 10))
+    qubits = draw(st.permutations(range(n)))
+    signs = st.booleans()
+    common = {literal(q, draw(signs)) for q in qubits[: draw(st.integers(0, n - 1))]}
+    free = qubits[len(common):]
+    run = []
+    for _ in range(draw(st.integers(2, 12))):
+        extra = draw(st.sampled_from(["literal", "literal", "none", "contradiction"]))
+        q = draw(st.sampled_from(free))
+        controls = set(common)
+        if extra == "literal":
+            controls.add(literal(q, draw(signs)))
+        elif extra == "contradiction":
+            controls |= {q, ~q}
+        run.append(g("PHASE", draw(st.floats(-7.0, 7.0)), None, controls))
+    return n, run, draw(st.integers(0, 2**32 - 1))
+
+
+def swap_gates(a, b):
+    return [g("X", None, a, (b,)), g("X", None, b, (a,)), g("X", None, a, (b,))]
+
+
+@st.composite
+def x_runs(draw):
+    """An X run on 2..10 qubits of singly controlled gates: qubit swaps, which
+    fuse into one permutation, or CNOTs drawn at random, which mostly do not.
+    The last item tells which."""
+    n = draw(st.integers(2, 10))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    swaps = draw(st.booleans())
+    if swaps:
+        run = [gate for a, b in draw(st.lists(pairs, min_size=1, max_size=8))
+               for gate in swap_gates(a, b)]
+    else:
+        run = [g("X", None, t, (c,)) for t, c in draw(st.lists(pairs, min_size=2, max_size=12))]
+    return n, run, draw(st.integers(0, 2**32 - 1)), swaps
+
+
+def per_gate_and_run(n, run, seed):
+    """The amplitudes after apply_run and after the per-gate loop, and the gates
+    apply_run left to apply_gate."""
+    theirs = random_amplitudes(1 << n, seed)
+    mine = theirs.copy()
+    for gate in run:
+        apply_gate(theirs, gate)
+    calls = []
+
+    def apply_one(amp, gate):
+        calls.append(gate)
+        apply_gate(amp, gate)
+
+    bufsize = np.getbufsize()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qclite.machine, "apply_gate", apply_one)
+        apply_run(mine, run)
+    assert np.getbufsize() == bufsize
+    return mine, theirs, calls
+
+
+@example((2, [g("PHASE", 0.5), g("PHASE", 0.25, None, (~0,))], 1))
+@example((10, [g("PHASE", 0.1 * k, None, (0, 9 - k)) for k in range(9)], 2))
+@example((6, [g("PHASE", 0.3, None, (1, ~1)), g("PHASE", 0.7, None, (~4, 2))], 3))
+@settings(max_examples=300, deadline=None)
+@given(diagonal_runs())
+def test_diagonal_run_matches_per_gate_loop(case):
+    mine, theirs, calls = per_gate_and_run(*case)
+    assert not calls
+    assert np.max(np.abs(mine - theirs)) <= 1e-12
+
+
+@example((2, swap_gates(0, 1), 1, True))
+@example((10, [gate for i in range(5) for gate in swap_gates(i, 9 - i)], 2, True))
+@example((5, swap_gates(4, 3) + swap_gates(3, 0) + swap_gates(4, 1), 3, True))
+@example((4, [g("X", None, 1, (0,)), g("X", None, 1, (0,))], 4, False))
+@settings(max_examples=300, deadline=None)
+@given(x_runs())
+def test_x_run_matches_per_gate_loop_bytes(case):
+    n, run, seed, swaps = case
+    mine, theirs, calls = per_gate_and_run(n, run, seed)
+    assert mine.tobytes() == theirs.tobytes()
+    assert not calls if swaps else len(calls) in (0, len(run))
+
+
+# each run has a gate with two literals beyond those all its gates share, or an
+# X that is not singly and positively controlled, or X gates that do not
+# permute qubits
+@pytest.mark.parametrize("run", [
+    [g("PHASE", 0.3, None, (0, 1)), g("PHASE", 0.2, None, (2,))],
+    [g("PHASE", 0.3, None, (3, 0, ~1)), g("PHASE", 0.2, None, (3,))],
+    [g("X", None, 0, (1, 2)), g("X", None, 1, (0,))],
+    [g("X", None, 0, (~1,)), g("X", None, 1, (0,))],
+    [g("X", None, 0), g("X", None, 1, (0,))],
+    [g("X", None, 0, (1,)), g("X", None, 1, (2,))],
+], ids=["phase-two-literals", "phase-two-literals-under-common", "x-two-controls",
+        "x-zero-control", "x-no-control", "x-cnot-chain"])
+def test_run_that_cannot_fuse_goes_gate_by_gate(run):
+    mine, theirs, calls = per_gate_and_run(4, run, 5)
+    assert calls == run
+    assert mine.tobytes() == theirs.tobytes()
+
+
+def dft_phase_group(n):
+    """The PHASE gates of an n-qubit dft before its H on qubit 0."""
+    return [g("PHASE", math.pi / 2 ** (n - j), None, (0, n - j)) for j in range(1, n)]
+
+
+def flip_run(n):
+    return [gate for i in range(n // 2) for gate in swap_gates(i, n - 1 - i)]
+
+
+@pytest.mark.parametrize("run", [dft_phase_group(16), flip_run(16)], ids=["phase", "flip"])
+def test_fused_runs_allocate_at_most_half_a_state_on_16_qubits(run):
+    # the per-gate X of the flip copies a quarter view and swaps through a
+    # second quarter; a fused run may allocate no more than that
+    _gate_plan.cache_clear()
+    amp = random_amplitudes(1 << 16, 1)
+    apply_run(amp, run)                  # the plan caches fill outside the bound
+    assert peak_bytes(apply_run, amp, run) <= amp.nbytes // 2 + 16 * 1024
 
 
 # -- measure_register -----------------------------------------------------------

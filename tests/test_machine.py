@@ -1,15 +1,17 @@
 """Machine-state behaviour: allocation, gates, measurement, dumps, register algebra."""
 
 import cmath
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclite import (AllocationError, RegisterError, MachineState, PrimitiveGate,
-                    RegisterMap, adjoint_of_tape, tape_matrix)
+from qclite import (AllocationError, QclRuntimeError, RegisterError, MachineState,
+                    PrimitiveGate, RegisterMap, adjoint_of_tape, tape_matrix)
 from qclite.machine import apply_gate, format_amplitude, gate_matrix
+from qclite.session import Session, SessionConfig
 
 
 def g(kind, param=None, target=None, controls=()):
@@ -477,3 +479,91 @@ def test_is_empty_matches_loop(case, confined):
     empty = all(abs(m.amp[i]) <= 1e-9 for i in range(m.amp.size)
                 if any((i >> q) & 1 for q in qubits))
     assert m.is_empty_register(RegisterMap(tuple(qubits))) == empty
+
+
+# -- pending runs on wide states -------------------------------------------------
+
+WIDE = 16           # 2^16 amplitudes: the machine holds runs of PHASE and of X gates
+
+
+def wide_run(kind):
+    """The 15 PHASE gates of a 16-qubit dft before its H on qubit 0, or the 24 X of flip."""
+    if kind == "PHASE":
+        return [g("PHASE", math.pi / 2 ** (WIDE - j), None, (0, WIDE - j)) for j in range(1, WIDE)]
+    return [g("X", None, t, (c,)) for i in range(WIDE // 2)
+            for t, c in ((i, WIDE - 1 - i), (WIDE - 1 - i, i), (i, WIDE - 1 - i))]
+
+
+def pending_and_applied(kind):
+    """Two machines after the same run on qubits 0..15, random over the low 12:
+    one holds the run pending, the other applied it gate by gate."""
+    machines = []
+    for _ in range(2):
+        m = MachineState(WIDE + 4, seed=3)
+        m.allocate_register(WIDE)
+        m.amp[: 1 << 12] = random_state(12, 4)
+        machines.append(m)
+    pending, applied = machines
+    for gate in wide_run(kind):
+        pending.apply_primitive(gate)
+        apply_gate(applied.amp, gate)
+        applied.version += 1
+    assert len(pending._run) == len(wide_run(kind))
+    return pending, applied
+
+
+def echo(m):
+    session = Session(SessionConfig(total_qubits=m.total), out=io.StringIO())
+    session.machine = m
+    return session.echo_state()
+
+
+READS = {
+    "amp": lambda m: m.amp,
+    "measure": lambda m: m.measure_register(RegisterMap((3, 13))),
+    # after the flip, qubits 0..3 hold the bits of the empty qubits 12..15
+    "is_empty": lambda m: m.is_empty_register(RegisterMap((0, 1, 2, 3))),
+    "free": lambda m: m.free_register(RegisterMap((0, 1, 2, 3))),
+    "allocate": lambda m: m.allocate_register(2),
+    "reset": lambda m: m.reset_state(),
+    "dump": lambda m: m.format_dump(),
+    "echo": echo,
+}
+
+
+@pytest.mark.parametrize("kind", ["PHASE", "X"])
+@pytest.mark.parametrize("read", sorted(READS))
+def test_every_read_sees_the_pending_run(kind, read):
+    pending, applied = pending_and_applied(kind)
+    results = []
+    for m in (pending, applied):
+        try:
+            results.append(READS[read](m))
+        except RegisterError as err:
+            results.append(str(err))
+    mine, theirs = results
+    if not isinstance(mine, np.ndarray):        # the amplitudes are compared below
+        assert mine == theirs
+    assert not pending._run
+    assert pending.version == applied.version
+    assert pending.materialized == applied.materialized
+    if kind == "X":
+        assert pending._amp.tobytes() == applied._amp.tobytes()
+    else:
+        assert np.max(np.abs(pending._amp - applied._amp)) <= 1e-12
+
+
+def test_statement_that_raises_leaves_its_gates_applied():
+    s = Session(SessionConfig(total_qubits=WIDE + 4, echo=False), out=io.StringIO())
+    s.run_source("operator bad(qureg x, int k) { int d; flip(x); d = 1 / k; }")
+    s.run_line(f"qureg q[{WIDE}];")
+    s.machine.amp[: 1 << 12] = random_state(12, 4)
+    expected = s.machine.amp.copy()
+    for gate in wide_run("X"):
+        apply_gate(expected, gate)
+    version = s.machine.version
+    with pytest.raises(QclRuntimeError, match="division by zero"):
+        s.run_line("bad(q, 0);")
+    assert not s.machine._run
+    assert s.machine._amp.tobytes() == expected.tobytes()
+    assert s.machine.version == version + len(wide_run("X"))

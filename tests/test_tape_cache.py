@@ -14,8 +14,8 @@ from conftest import make_session
 CORPUS = ("inc_cond.qcl", "cinc.qcl", "parity.qcl", "dft.qcl")
 
 
-def corpus_session(corpus, width: int):
-    s = make_session(qubits=12)
+def corpus_session(corpus, width: int, qubits: int = 12):
+    s = make_session(qubits=qubits)
     for name in CORPUS:
         s.run_source(corpus[name])
     s.run_line(f"qureg x[{width}]; qureg a[1]; qureg e[1]; qureg y[1]; qureg s[1];")
@@ -71,6 +71,30 @@ def test_warm_cache_matches_cold_session(corpus, width, seed, lines):
         assert machine.allocated == cold.machine.allocated
         assert machine.materialized == cold.machine.materialized
     assert warm.prog.tapes
+
+
+WIDE_LINES = ("dft(x);", "!dft(x);", "dft(x[0:5]);", "cinc(x, e);",
+              *(GUARDS[k].format("inc(x);") for k in range(3)))
+
+
+def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
+    # 2^16 amplitudes: the machine holds runs of PHASE and X gates and fuses
+    # them, on the replayed tapes and on the walked bodies alike
+    warm = corpus_session(corpus, 12, qubits=20)
+    machine = warm.machine
+    rng = np.random.default_rng(7)
+    live = 1 << 14
+    machine.amp[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
+    machine.amp /= np.linalg.norm(machine.amp)
+    for line in WIDE_LINES * 2:
+        cold = corpus_session(corpus, 12, qubits=20)
+        cold.machine.amp[:] = machine.amp
+        warm.run_line(line)
+        cold.run_line(line)
+        assert machine.amp.tobytes() == cold.machine.amp.tobytes(), line
+        assert machine.allocated == cold.machine.allocated
+        assert machine.materialized == cold.machine.materialized == 16
+    assert len(warm.prog.tapes) >= 5
 
 
 # -- what is stored, and under which key ----------------------------------------------
