@@ -53,6 +53,9 @@ def repl_loop(session: Session, stdin=None) -> int:
                 out.write(f"! {err}\n")
         except QclError as err:
             out.write(f"! {err}\n")
+        except KeyboardInterrupt:
+            # Ctrl-C stops the statement, not the loop; what it applied stays applied
+            out.write("! interrupted\n")
         except Exception as err:
             # a defect in qclite, not in the input: report it and keep reading
             import traceback    # here: imported with the module it costs every process 0.1 MB

@@ -18,19 +18,29 @@ a worklist owned by `Interpreter.run_body`; each branch runs the rest of the
 body on a copy of the block stack and its scopes, then-path first and depth
 first, under its branch condition's enable.
 
-Operator and qufunct calls replay recorded tapes.  When a call's body did
-nothing but emit gates (no allocation or free, no emptiness check that ran, no
-fork, no random draw, measurement or output), its realized gates are stored on
-the `ProgramState` under a key of the routine, the bound parameter values (a
-register by its qubits and quantum type, a classical value by its type and
-bits) and the calling context's enable, guard and apply mode.  A later call
-with the same key skips the body and pushes the stored gates through the
-machine.  The key is complete because operator, qufunct and function bodies
-are pure: they resolve names through `ProgramState.consts`, which holds only
-the global constants, never global variables or registers, so their gates
-depend on nothing else.  Rebinding a routine or a global constant, which only
-unchecked trees can do, clears the store; past `TAPE_CACHE_ENTRIES` entries or
-`TAPE_CACHE_GATES` stored gates nothing more is stored.
+Operator and qufunct calls replay recorded tapes.  A tape is the ordered list
+of machine steps that one call made: the gates it applied, the registers it
+allocated and freed (its local `qureg`s, quscratch auxiliaries and synthesized
+enables), and the emptiness checks it ran, each with its error message and,
+for a step inside the body, the position of the body statement a failure is
+reported at.  It also holds what the call handed its caller: the gates and
+deferred frees it added to the caller's `Recorder` in record-only mode, and
+its fork paths.  Tapes are kept on the `ProgramState` under a key of the
+routine, the invert flag, the calling context's enable, guard and apply mode,
+the allocation state (`allocated` and `materialized`, which fix the qubits
+every allocation returns) and the argument values (a register by its qubits,
+a classical value by its type and bits).  A later call with
+the same key skips the body and pushes every step through the machine again,
+so every check and every free still runs and fails as the body would.  The
+key is complete because operator, qufunct and function bodies are pure: they
+resolve names through `ProgramState.consts`, which holds only the global
+constants, never global variables or registers, and a fork on a quantum
+condition runs every path.  Procedures, calls that measure, reset, print or
+draw `random()`, and calls whose recorded forks would take the statement past
+`FORK_PATH_LIMIT` walk their bodies every time.  Rebinding a routine or a
+global constant, which only unchecked trees can do, clears the store; past
+`TAPE_CACHE_ENTRIES` entries or `TAPE_CACHE_GATES` stored steps nothing more
+is stored.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 from . import qcond, syntax as ast
 from .errors import (ExitSession, QclRuntimeError, RegisterError, ReturnSignal)
@@ -172,7 +183,10 @@ class ExecContext:
         realized = PrimitiveGate(g.kind, g.param, g.target, controls)
         self.recorder.gates.append(realized)
         if self.apply:
-            self.machine.apply_primitive(realized)
+            prog = self.prog
+            prog.machine.apply_primitive(realized)
+            if prog.recording:
+                prog.log.append(realized)
         return realized
 
     def emit(self, kind: str, param, target, controls) -> PrimitiveGate:
@@ -189,22 +203,70 @@ class ExecContext:
     # -- transparent registers -------------------------------------------------
 
     def alloc_temp(self, size: int) -> RegisterMap:
-        self.prog.effects += 1
-        return self.machine.allocate_register(size)
+        reg = self.machine.allocate_register(size)
+        self.note_alloc(reg)
+        return reg
 
-    def release_temp(self, reg: RegisterMap) -> None:
-        self.prog.effects += 1
+    def note_alloc(self, reg: RegisterMap) -> None:
+        """Log an allocation for the calls being recorded; qcond allocates a
+        synthesized enable on the machine directly and logs it here."""
+        self.prog.log_step(_allocate, len(reg), None)
+
+    def release_temp(self, reg: RegisterMap, message: str | None = None) -> None:
+        """Free `reg`, raising `message` if it is not empty; in record-only mode
+        defer the free to the recorder."""
         if self.apply:
-            self.machine.free_register(reg)
+            _free(self.machine, reg, message, None)
+            self.prog.log_step(_free, reg, message)
         else:
             self.recorder.temps.append(reg)
 
     def note_fork(self) -> None:
-        self.prog.effects += 1
         self.fork_cell[0] += 1
         if self.fork_cell[0] > FORK_PATH_LIMIT:
             raise QclRuntimeError(
                 f"forking exceeded {FORK_PATH_LIMIT} classical paths")
+
+
+# -- machine steps: run by a walked body and by a replayed tape alike -------------------
+
+def _allocate(machine: MachineState, size: int, message, at) -> None:
+    machine.allocate_register(size)
+
+
+def _free(machine: MachineState, reg: RegisterMap, message: str | None, at) -> None:
+    try:
+        machine.free_register(reg)
+    except RegisterError as err:
+        raise _placed(QclRuntimeError(message) if message else err, at)
+
+
+def _check(machine: MachineState, reg: RegisterMap, message: str, at) -> None:
+    if not machine.is_empty_register(reg):
+        raise _placed(QclRuntimeError(message), at)
+
+
+def _placed(err: QclRuntimeError, at):
+    """`err` at the statement `at`, as a walked body's block loop would place it."""
+    if at is not None and err.line is None:
+        err.line, err.column = at.line, at.column
+    return err
+
+
+class Tape(NamedTuple):
+    """What one call did: its machine steps, in order, and what it handed its caller.
+
+    A step is a gate to apply, or `(fn, arg, message, at)` for `fn` one of
+    `_allocate`, `_free` and `_check`, where `at` is the body statement a
+    failure is reported at, or None for the call's own position.  `gates` and
+    `temps` are the gates and deferred frees a record-only call added to the
+    caller's recorder; `forks` counts its fork paths.
+    """
+
+    steps: tuple
+    gates: tuple
+    temps: tuple
+    forks: int
 
 
 class ProgramState:
@@ -221,20 +283,43 @@ class ProgramState:
         self.out = out if out is not None else sys.stdout
         self.checks = checks
         self.rng = machine.rng
-        self.tapes: dict[tuple, tuple[PrimitiveGate, ...]] = {}
-        self.tape_gates = 0
-        self.effects = 0    # bumped by every step that a replayed tape would skip
+        self.tapes: dict[tuple, Tape] = {}
+        self.tape_gates = 0     # stored steps, gates and deferred frees
+        # the calls being recorded, innermost last, share one log of machine steps;
+        # in it a step's `at` is `where()` when the step ran
+        self.recording = 0
+        self.log: list = []
+        self.tainted = 0        # the recordings at depths below this one saw an effect
+        # the statement each running block loop is at, innermost last
+        self.frames: list[list] = []
 
     def write(self, text: str) -> None:
-        self.effects += 1
+        self.note_effect()
         self.out.write(text)
 
-    def store_tape(self, key: tuple, gates) -> None:
-        """Keep a pure call's realized gates while both caps allow; never evict."""
+    def note_effect(self) -> None:
+        """An effect no tape replays (measure, reset, output, random(), a
+        procedure call): no call being recorded is stored."""
+        self.tainted = self.recording
+
+    def where(self):
+        """The innermost block loop at a statement, as (depth, statement), or None."""
+        for depth in range(len(self.frames) - 1, -1, -1):
+            if (stmt := self.frames[depth][0]) is not None:
+                return depth, stmt
+        return None
+
+    def log_step(self, fn, arg, message) -> None:
+        if self.recording:
+            self.log.append((fn, arg, message, self.where()))
+
+    def store_tape(self, key: tuple, tape: Tape) -> None:
+        """Keep a call's tape while both caps allow; never evict."""
+        size = len(tape.steps) + len(tape.gates) + len(tape.temps)
         if (len(self.tapes) < TAPE_CACHE_ENTRIES
-                and self.tape_gates + len(gates) <= TAPE_CACHE_GATES):
-            self.tapes[key] = tuple(gates)
-            self.tape_gates += len(gates)
+                and self.tape_gates + size <= TAPE_CACHE_GATES):
+            self.tapes[key] = tape
+            self.tape_gates += size
 
     def clear_tapes(self) -> None:
         self.tapes.clear()
@@ -314,18 +399,21 @@ class Interpreter:
         A quantum `if` runs each branch in a nested run under its enable; a
         forking one queues both paths on the worklist `work` and ends this one.
         A closed block's local registers are released at once, or collected in
-        `frees` when that is given.
+        `frees` when that is given.  The statement the loop is at, which an
+        error is reported at, is kept on `prog.frames` for the tapes.
         """
         outer = ctx.env
-        stmt = None
+        here = [None]
+        frames = self.prog.frames
+        frames.append(here)
         try:
             while stack:
                 block = stack[-1]
                 if block.index == len(block.stmts):
-                    stmt = block.opener
+                    here[0] = block.opener
                     self._end_block(stack, block, ctx, frees)
                     continue
-                stmt = block.stmts[block.index]
+                here[0] = stmt = block.stmts[block.index]
                 block.index += 1
                 env = ctx.env = block.env
                 if isinstance(stmt, ast.If):
@@ -359,9 +447,9 @@ class Interpreter:
                 else:
                     self._exec_stmt(stmt, ctx)
         except QclRuntimeError as err:
-            if err.line is None and stmt is not None:
-                err.line, err.column = stmt.line, stmt.column
-            raise
+            raise _placed(err, here[0])
+        finally:
+            frames.pop()
         ctx.env = outer
 
     def _end_block(self, stack: list, block: Block, ctx: ExecContext, frees) -> None:
@@ -384,11 +472,8 @@ class Interpreter:
         block.index = 0
 
     def _release_local(self, name: str, rv: RegisterValue, ctx: ExecContext) -> None:
-        try:
-            ctx.release_temp(rv.reg)
-        except RegisterError:
-            raise QclRuntimeError(
-                f"local register '{name}' is not empty at the end of its scope")
+        ctx.release_temp(rv.reg,
+                         f"local register '{name}' is not empty at the end of its scope")
 
     def _exec_stmt(self, stmt, ctx: ExecContext) -> None:
         if isinstance(stmt, ast.VarDecl):
@@ -411,12 +496,12 @@ class Interpreter:
             self.call_subroutine(stmt.name, stmt.args, stmt.invert, ctx)
         elif isinstance(stmt, ast.Measure):
             rv = self.eval_register(stmt.target, ctx)
-            self.prog.effects += 1
+            self.prog.note_effect()
             outcome = ctx.machine.measure_register(rv.reg)
             if stmt.var is not None:
                 ctx.env.set(stmt.var, outcome)
         elif isinstance(stmt, ast.Reset):
-            self.prog.effects += 1
+            self.prog.note_effect()
             ctx.machine.reset_state()
         elif isinstance(stmt, ast.Dump):
             header, terms = ctx.machine.format_dump().split("\n")
@@ -462,6 +547,40 @@ class Interpreter:
         if ctx.enable and not decl.cond:
             raise QclRuntimeError(
                 f"'{name}' must be declared cond to run under a quantum condition")
+        prog = self.prog
+        if LEVELS[decl.kind] == LEVEL_PROCEDURE:
+            prog.note_effect()
+            self._call(decl, args, invert, ctx)
+            return
+        machine = prog.machine
+        key = (id(decl), invert, ctx.enable, ctx.guarded, ctx.apply,
+               frozenset(machine.allocated), machine.materialized, *map(_value_key, args))
+        tape = prog.tapes.get(key)
+        if tape is not None and ctx.fork_cell[0] + tape.forks <= FORK_PATH_LIMIT:
+            self._replay(tape, ctx)
+            return
+        recorder = ctx.recorder
+        depth, start, frame = prog.recording, len(prog.log), len(prog.frames)
+        gates, temps, forks = len(recorder.gates), len(recorder.temps), ctx.fork_cell[0]
+        prog.recording += 1
+        try:
+            self._call(decl, args, invert, ctx)
+            if prog.tainted <= depth:
+                steps = tuple(step if step.__class__ is PrimitiveGate
+                              else (*step[:3], _inside(step[3], frame))
+                              for step in prog.log[start:])
+                prog.store_tape(key, Tape(
+                    steps, () if ctx.apply else tuple(recorder.gates[gates:]),
+                    tuple(recorder.temps[temps:]), ctx.fork_cell[0] - forks))
+        finally:
+            prog.recording = depth
+            prog.tainted = min(prog.tainted, depth)
+            if not depth:
+                prog.log.clear()
+
+    def _call(self, decl: ast.Routine, args, invert: bool, ctx: ExecContext) -> None:
+        """Walk a call: bind its parameters and run its body, or record the body
+        and apply the adjoint of its tape."""
         if invert:
             sub = ctx.child(recorder=Recorder(), apply=False)
             self._enter_routine(decl, args, sub)
@@ -472,6 +591,29 @@ class Interpreter:
             self._scratch_exit_checks(decl, args, ctx)
         else:
             self._enter_routine(decl, args, ctx)
+
+    def _replay(self, tape: Tape, ctx: ExecContext) -> None:
+        """Push a stored tape's steps through the machine, as the walked call did."""
+        prog = self.prog
+        if prog.recording:
+            # a step placed inside this call stays there; one placed at the call
+            # is placed where the enclosing calls are now
+            frame, here = len(prog.frames), prog.where()
+            prog.log.extend(step if step.__class__ is PrimitiveGate
+                            else (*step[:3], here if step[3] is None else (frame, step[3]))
+                            for step in tape.steps)
+        ctx.fork_cell[0] += tape.forks
+        machine = prog.machine
+        add = ctx.recorder.gates.append
+        for step in tape.steps:
+            if step.__class__ is PrimitiveGate:
+                add(step)
+                machine.apply_primitive(step)
+            else:
+                fn, arg, message, at = step
+                fn(machine, arg, message, at)
+        ctx.recorder.gates.extend(tape.gates)
+        ctx.recorder.temps.extend(tape.temps)
 
     def _call_builtin(self, b: Builtin, args, invert: bool, ctx: ExecContext) -> None:
         cvals = [self._to_real(v) for v in args[: b.cparams]]
@@ -515,27 +657,7 @@ class Interpreter:
         if target is not None:
             self._check_empty(target[1].reg,
                               f"quvoid argument '{target[0]}' of '{decl.name}'", ctx)
-        if level == LEVEL_PROCEDURE:
-            self.run_body(decl, sub)
-        else:
-            self._run_pure_body(decl, sub)
-
-    def _run_pure_body(self, decl: ast.Routine, ctx: ExecContext) -> None:
-        """Replay the stored tape of this call, or run the body and store its tape."""
-        prog = self.prog
-        key = (id(decl), ctx.enable, ctx.guarded, ctx.apply,
-               *map(_value_key, ctx.env.vars.values()))
-        tape = prog.tapes.get(key)
-        if tape is not None:
-            ctx.recorder.gates.extend(tape)
-            if ctx.apply:
-                for g in tape:
-                    prog.machine.apply_primitive(g)
-            return
-        start, effects = len(ctx.recorder.gates), prog.effects
-        self.run_body(decl, ctx)
-        if prog.effects == effects:
-            prog.store_tape(key, ctx.recorder.gates[start:])
+        self.run_body(decl, sub)
 
     def _call_with_scratch(self, decl: ast.Routine, sub: ExecContext,
                            ctx: ExecContext, target, scratch_args) -> None:
@@ -569,11 +691,10 @@ class Interpreter:
                                   f"after the call", ctx)
 
     def _check_empty(self, reg: RegisterMap, what: str, ctx: ExecContext) -> None:
-        if not ctx.apply or not self.prog.checks:
-            return
-        self.prog.effects += 1
-        if not ctx.machine.is_empty_register(reg):
-            raise QclRuntimeError(f"{what} is not empty")
+        if ctx.apply and self.prog.checks:
+            message = f"{what} is not empty"
+            _check(ctx.machine, reg, message, None)
+            self.prog.log_step(_check, reg, message)
 
     def call_function(self, decl: ast.Routine, args, ctx: ExecContext):
         env = Env(self.prog.consts)
@@ -615,7 +736,7 @@ class Interpreter:
 
     def _eval_call(self, expr: ast.Call, ctx: ExecContext):
         if expr.name == "random":
-            self.prog.effects += 1
+            self.prog.note_effect()
             return float(self.prog.rng.random())
         decl = self.prog.routines.get(expr.name)
         if decl is None or decl.ret_type is None:
@@ -787,10 +908,17 @@ class Interpreter:
         raise TypeError(f"cannot print {type(value).__name__}")
 
 
+def _inside(where, frame: int):
+    """The statement a logged step's `where` places it at, for the call whose
+    body runs in block loops from depth `frame` on; None for the call itself."""
+    return where[1] if where is not None and where[0] >= frame else None
+
+
 def _value_key(value):
-    """Cache key of a bound value; floats by their bits, so 0.0 and -0.0 differ."""
+    """Cache key of an argument: a register by its qubits, since a call binds it
+    under its parameter's type; floats by their bits, so 0.0 and -0.0 differ."""
     if isinstance(value, RegisterValue):
-        return value.reg.qubits, value.qtype
+        return value.reg.qubits
     if isinstance(value, float):
         return float, value.hex()
     if isinstance(value, complex):

@@ -241,6 +241,8 @@ def exec_forking_if(ctx, path, poly: ZhegalkinPoly, then_block, else_block,
 def _under_enable(ctx, poly: ZhegalkinPoly, run):
     """Compute the enable of `poly`, call `run` under it, suspend, then uncompute it."""
     plan = synthesize_enable(poly, ctx.machine)
+    if plan.scratch is not None:
+        ctx.note_alloc(plan.scratch)
     emitted = [ctx.emit_gate(g) for g in plan.compute]
     ctx.push_enable(plan.controls, poly.support())
     run()

@@ -6,6 +6,7 @@ import pytest
 
 from qclite import corpus_path
 from qclite.cli import main, repl_loop, run_script
+from qclite.interp import Interpreter
 from qclite.machine import MachineState
 from qclite.session import Session, SessionConfig
 from conftest import make_session
@@ -122,6 +123,40 @@ class TestReplBehaviour:
         assert "qcl> f(x);\n! internal error: RuntimeError: injected fault\n" in output
         assert output.endswith("qcl> print 1;\n1\nqcl> \n")
         assert "Traceback" in capsys.readouterr().err
+
+    def test_interrupt_keeps_loop_alive(self, capsys, monkeypatch):
+        # Ctrl-C during the second gate of the first call of f, which is recording
+        original = MachineState.apply_primitive
+        gates = []
+
+        def interrupted(self, g):
+            gates.append(g)
+            if len(gates) == 4:
+                raise KeyboardInterrupt
+            original(self, g)
+
+        walks = []
+        run_body = Interpreter.run_body
+        monkeypatch.setattr(MachineState, "apply_primitive", interrupted)
+        monkeypatch.setattr(Interpreter, "run_body",
+                            lambda self, decl, ctx: walks.append(decl.name) or
+                            run_body(self, decl, ctx))
+        source = "qufunct f(qureg x) { Not(x[0]); CNot(x[1], x[0]); Not(x[0]); }"
+        warm = make_session(qubits=4)
+        repl_loop(warm, stdin=io.StringIO(f"qureg x[2];\nH(x);\n{source}\nf(x);\n"))
+        assert warm.out.getvalue().endswith("qcl> f(x);\n! interrupted\nqcl> \n")
+        assert capsys.readouterr().err == ""
+        prog = warm.prog
+        assert not prog.tapes and not prog.recording and not prog.log and not prog.frames
+        cold = make_session(qubits=4)
+        cold.run_line(f"qureg x[2]; {source}")
+        cold.machine.amp[:] = warm.machine.amp
+        repl_loop(warm, stdin=io.StringIO("f(x);\n"))
+        cold.run_line("f(x);")
+        assert walks == ["f", "f", "f"]
+        assert warm.machine.amp.tobytes() == cold.machine.amp.tobytes()
+        assert warm.machine.allocated == cold.machine.allocated
+        assert len(prog.tapes) == 1
 
     def test_arithmetic_faults_keep_loop_alive(self, capsys):
         _, output = run_repl("print 2.0^10000;\n"

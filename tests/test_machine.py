@@ -465,6 +465,24 @@ def test_measure_matches_loop_collapse(case):
     assert np.max(np.abs(m.amp - amp / np.linalg.norm(amp))) < 1e-12
 
 
+def test_measure_renormalizes_with_the_bytes_of_a_division():
+    """The collapsed state is scaled by 1/norm; its bytes are those of a
+    complex-by-real division by the norm, but for the sign of some zero parts."""
+    rng = np.random.default_rng(11)
+    for seed in range(1000):
+        m = machine_holding(6, seed)
+        qubits = [int(q) for q in rng.permutation(6)[: rng.integers(1, 7)]]
+        collapsed = m.amp.copy()
+        outcome = m.measure_register(RegisterMap(tuple(qubits)))
+        index = np.arange(collapsed.size)
+        for k, q in enumerate(qubits):
+            collapsed[((index >> q) & 1) != ((outcome >> k) & 1)] = 0.0
+        mine = m.amp.view(np.float64)
+        divided = (collapsed / np.linalg.norm(collapsed)).view(np.float64)
+        assert np.array_equal(mine == 0.0, divided == 0.0)
+        assert mine[divided != 0.0].tobytes() == divided[divided != 0.0].tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(registers_on_states(spare=2), st.booleans())
 def test_is_empty_matches_loop(case, confined):

@@ -1,25 +1,55 @@
-"""Replay of recorded tapes for pure calls: a warm cache changes nothing, and its limits hold."""
+"""Replay of recorded tapes: a warm cache changes nothing, also when a replay fails,
+and its limits hold."""
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclite import MachineState, QclRuntimeError, interp, parse_source, run_program
+from qclite import MachineState, QclError, QclRuntimeError, interp, parse_source, run_program
 from qclite.interp import Interpreter, ProgramState
-from conftest import make_session
+from conftest import make_session, session_output
 
-CORPUS = ("inc_cond.qcl", "cinc.qcl", "parity.qcl", "dft.qcl")
+CORPUS = ("inc_cond.qcl", "cinc.qcl", "parity.qcl", "dft.qcl", "demux.qcl",
+          "scratch_parity.qcl")
+# a local register, a fork on a synthesized enable, calls of stored routines
+# made with another register allocated, and output
+EXTRA = ("qufunct loc(qureg x) { qureg t[1]; CNot(t, x[0]); CNot(x[1], t); CNot(t, x[0]); }\n"
+         "cond qufunct fk(quconst p, quconst q, qureg x) "
+         "{ int n = 0; if p or q { n = 1; } Not(x[n]); }\n"
+         "qufunct nest(quconst p, qureg x) { qureg u[1]; loc(x); CNot(u, p); "
+         "fk(p, u, x); CNot(u, p); inc(x); }\n"
+         "qufunct pr(qureg x) { print #x; inc(x); }")
 
 
-def corpus_session(corpus, width: int, qubits: int = 12):
-    s = make_session(qubits=qubits)
+def corpus_session(corpus, width: int, qubits: int = 12, echo: bool = False):
+    s = make_session(qubits=qubits, echo=echo)
     for name in CORPUS:
         s.run_source(corpus[name])
+    s.run_source(EXTRA)
     s.run_line(f"qureg x[{width}]; qureg a[1]; qureg e[1]; qureg y[1]; qureg s[1];")
     return s
+
+
+def run_both(warm, cold, line: str):
+    """Run `line` on both sessions; their error text, output and machines must agree."""
+    outcomes = []
+    for session in (warm, cold):
+        before = len(session_output(session))
+        try:
+            session.run_line(line)
+            error = None
+        except QclError as err:
+            error = str(err)
+        outcomes.append((error, session_output(session)[before:]))
+    assert outcomes[0] == outcomes[1], line
+    assert warm.machine.amp.tobytes() == cold.machine.amp.tobytes(), line
+    assert warm.machine.allocated == cold.machine.allocated, line
+    assert warm.machine.materialized == cold.machine.materialized, line
+    return outcomes[0][0]
 
 
 @pytest.fixture
@@ -38,9 +68,17 @@ def bodies(monkeypatch):
 
 # -- a warm cache changes nothing --------------------------------------------------
 
+# calls that allocate (a local register, a scratch auxiliary, a synthesized
+# enable), check and fork; demux(a & e, x) indexes past a short x and fails
+ALLOCATING = ("demux(a, x);", "!demux(a, x);", "demux(a & e, x);", "!demux(a & e, x);",
+              "scratch_parity(x, y, s);", "!scratch_parity(x, y, s);",
+              "loc(x);", "!loc(x);", "fk(a, e, x);", "!fk(a, e, x);",
+              "nest(a, x);", "!nest(a, x);", "pr(x);")
 PLAIN = ("inc(x);", "!inc(x);", "inc(x[0:1]);", "cinc(x, e);", "!cinc(x, e);",
-         "parity(x, y); !parity(x, y);", "dft(x);", "!dft(x);", "dft(x[0:1]);")
-CONDITIONED = ("inc(x);", "!inc(x);", "inc(x[0:1]);")    # inc is the cond routine
+         "parity(x, y); !parity(x, y);", "dft(x);", "!dft(x);", "dft(x[0:1]);", *ALLOCATING)
+# the cond routines
+CONDITIONED = ("inc(x);", "!inc(x);", "inc(x[0:1]);", "demux(a, x);", "!demux(a, x);",
+               "fk(a, e, x);", "!fk(a, e, x);")
 GUARDS = ("if a and e {{ {} }}",      # direct enable: a two-qubit control
           "if a or e {{ {} }}",       # synthesized enable qubit
           "if e {{ {} }}",
@@ -52,29 +90,30 @@ statements = st.one_of(
     st.builds(str.format, st.sampled_from(GUARDS), st.sampled_from(CONDITIONED)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3), st.integers(0, 10_000), st.lists(statements, min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 10_000), st.lists(statements, min_size=1, max_size=8))
 def test_warm_cache_matches_cold_session(corpus, width, seed, lines):
-    warm = corpus_session(corpus, width)
+    warm = corpus_session(corpus, width, echo=True)
     machine = warm.machine
     # random amplitudes over x, a and e; y and s stay |0>
     rng = np.random.default_rng(seed)
     live = 1 << (width + 2)
     machine.amp[:live] = rng.normal(size=live) + 1j * rng.normal(size=live)
     machine.amp /= np.linalg.norm(machine.amp)
-    for line in lines:
-        cold = corpus_session(corpus, width)
+    errors = []
+    for line in lines * 2:
+        cold = corpus_session(corpus, width, echo=True)
         cold.machine.amp[:] = machine.amp
-        warm.run_line(line)
-        cold.run_line(line)
-        assert machine.amp.tobytes() == cold.machine.amp.tobytes(), line
-        assert machine.allocated == cold.machine.allocated
-        assert machine.materialized == cold.machine.materialized
-    assert warm.prog.tapes
+        errors.append(run_both(warm, cold, line))
+    assert warm.prog.tapes or None not in errors
 
 
 WIDE_LINES = ("dft(x);", "!dft(x);", "dft(x[0:5]);", "cinc(x, e);",
-              *(GUARDS[k].format("inc(x);") for k in range(3)))
+              *(GUARDS[k].format("inc(x);") for k in range(3)),
+              "demux(a & e, x);", "!demux(a & e, x);",
+              "scratch_parity(x, y, s); !scratch_parity(x, y, s);",
+              "loc(x);", "!loc(x);", "fk(a, e, x);", "!fk(a, e, x);",
+              "nest(e, x);", "!nest(e, x);")
 
 
 def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
@@ -89,12 +128,9 @@ def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
     for line in WIDE_LINES * 2:
         cold = corpus_session(corpus, 12, qubits=20)
         cold.machine.amp[:] = machine.amp
-        warm.run_line(line)
-        cold.run_line(line)
-        assert machine.amp.tobytes() == cold.machine.amp.tobytes(), line
-        assert machine.allocated == cold.machine.allocated
-        assert machine.materialized == cold.machine.materialized == 16
-    assert len(warm.prog.tapes) >= 5
+        assert run_both(warm, cold, line) is None
+        assert machine.materialized == 16
+    assert len(warm.prog.tapes) >= len(WIDE_LINES)
 
 
 # -- what is stored, and under which key ----------------------------------------------
@@ -108,8 +144,8 @@ def test_pure_call_walks_its_body_once(corpus, bodies):
 
 
 @pytest.mark.parametrize("line,stored", [("parity(x, y);", 1),
-                                         ("wrap(x, y);", 1),     # parity's tape, not wrap's
-                                         ("copy(x, y);", 0)])
+                                         ("wrap(x, y);", 2),     # wrap's tape and parity's
+                                         ("copy(x, y);", 1)])
 def test_quvoid_entry_check_is_never_skipped(corpus, line, stored):
     s = corpus_session(corpus, 1)
     s.run_source("qufunct wrap(quconst x, qureg y) { parity(x, y); }\n"
@@ -130,17 +166,144 @@ def test_quvoid_entry_check_is_never_skipped(corpus, line, stored):
     ("scratch_parity.qcl", "qureg x[2]; qureg y[1]; qureg s[1];",
      "scratch_parity(x, y, s); !scratch_parity(x, y, s);", "scratch_parity"),
 ], ids=["local-qureg", "synthesized-enable", "fork", "quscratch"])
-def test_calls_that_allocate_or_fork_are_interpreted_every_time(corpus, bodies, defs,
-                                                                decls, line, routine):
+def test_calls_that_allocate_or_fork_replay_every_step(corpus, bodies, monkeypatch,
+                                                       defs, decls, line, routine):
     s = make_session(qubits=12)
     s.run_source(corpus.get(defs, defs))
     s.run_line(decls)
     s.run_line("H(x[0]);")
+    steps = Counter()
+    for name in ("allocate_register", "free_register", "is_empty_register"):
+        def counted(self, reg, original=getattr(MachineState, name), name=name):
+            steps[name] += 1
+            return original(self, reg)
+        monkeypatch.setattr(MachineState, name, counted)
     s.run_line(line)
-    once = bodies.count(routine)
+    once, first = bodies.count(routine), dict(steps)
+    steps.clear()
     s.run_line(line)
-    assert once > 0 and bodies.count(routine) == 2 * once
-    assert not s.prog.tapes
+    assert once > 0 and bodies.count(routine) == once
+    assert dict(steps) == first
+    assert first or routine == "demux"      # demux forks on direct enables
+    assert s.prog.tapes
+
+
+# -- a replay that fails fails as the walk would --------------------------------------
+
+FAILING = ("cond qufunct cpar(quconst x, quvoid y) { CNot(y, x); }\n"
+           "qufunct wrap2(quconst x, qureg y, qureg z) { CNot(z, x);\n"
+           "  parity(x, y); }\n"
+           "qufunct branch(quconst c, quconst x, qureg y) { if c {\n"
+           "  cpar(x, y); } }\n"
+           "qufunct leak(quconst x) { qureg t[1]; CNot(t, x); }\n"
+           "qufunct outer(quconst x, qureg z) { CNot(z, x);\n"
+           "  leak(x); }\n"
+           "qufunct wrap3(quconst x, qureg y, qureg z) { wrap2(x, y, z); }\n")
+
+
+@pytest.mark.parametrize("store,spoil,line,error", [
+    # the call's own checks and frees fail at the call
+    ("parity(x, y);", "Not(y);", "H(a); parity(x, y);",
+     "at 1:7: quvoid argument 'y' of 'parity' is not empty"),
+    ("scratch_parity(x, y, s);", "Not(y);", "Not(a); scratch_parity(x, y, s);",
+     "at 1:9: quvoid argument 'y' of 'scratch_parity' is not empty"),
+    ("scratch_parity(x, y, s);", "Not(s);", "scratch_parity(x, y, s);",
+     "at 1:1: quscratch argument 's' of 'scratch_parity' is not empty"),
+    ("!scratch_parity(x, y, s);", "Not(s); H(x);", "!scratch_parity(x, y, s);",
+     "at 1:1: quscratch argument 's' of 'scratch_parity' after the call is not empty"),
+    ("leak(x[0]);", "Not(x[0]);", "leak(x[0]);",
+     "at 1:1: local register 't' is not empty at the end of its scope"),
+    # those of a call in the body fail at its statement in the body
+    ("wrap2(x, y, e);", "Not(y); Not(x);", "wrap2(x, y, e);",
+     "at 3:3: quvoid argument 'y' of 'parity' is not empty"),
+    ("branch(a, x, y);", "H(a); Not(y);", "branch(a, x, y);",
+     "at 5:3: quvoid argument 'y' of 'cpar' is not empty"),
+    ("outer(x[0], e);", "Not(x[0]);", "outer(x[0], e);",
+     "at 8:3: local register 't' is not empty at the end of its scope"),
+    # the call was stored in a body: its own check is placed at the call
+    ("wrap2(x, y, e);", "Not(y);", "parity(x, y);",
+     "at 1:1: quvoid argument 'y' of 'parity' is not empty"),
+    # the call was stored before the body that calls it
+    ("parity(x, y); wrap2(x, y, e);", "Not(y);", "wrap2(x, y, e);",
+     "at 3:3: quvoid argument 'y' of 'parity' is not empty"),
+    ("wrap2(x, y, e); wrap3(x, y, e);", "Not(y);", "wrap3(x, y, e);",
+     "at 3:3: quvoid argument 'y' of 'parity' is not empty"),
+], ids=["quvoid", "scratch-quvoid", "quscratch", "quscratch-exit", "local", "nested-quvoid",
+        "nested-in-branch", "nested-local", "stored-in-a-body", "stored-before-its-caller",
+        "stored-two-deep"])
+def test_failed_replay_matches_cold_session(corpus, bodies, store, spoil, line, error):
+    """A call stored on an input that passes fails on one that does not, with the
+    walk's message and position, after the same steps."""
+    warm = corpus_session(corpus, 2)
+    warm.run_source(FAILING)
+    warm.run_line(store)
+    warm.run_line(spoil)
+    cold = corpus_session(corpus, 2)
+    cold.run_source(FAILING)
+    cold.machine.amp[:] = warm.machine.amp
+    walked = len(bodies)
+    with pytest.raises(QclRuntimeError) as replayed:
+        warm.run_line(line)
+    assert len(bodies) == walked
+    with pytest.raises(QclRuntimeError) as walking:
+        cold.run_line(line)
+    assert str(replayed.value) == str(walking.value) == f"runtime error {error}"
+    assert warm.machine.amp.tobytes() == cold.machine.amp.tobytes()
+    assert warm.machine.allocated == cold.machine.allocated
+    assert warm.machine.materialized == cold.machine.materialized
+
+
+def test_call_past_the_fork_limit_walks_and_fails_like_a_cold_session(corpus, bodies,
+                                                                     monkeypatch):
+    monkeypatch.setattr(interp, "FORK_PATH_LIMIT", 8)
+    twice = "procedure twice(quconst s, qureg x) { demux(s, x); demux(s, x); }"
+    warm = corpus_session(corpus, 4)
+    warm.run_source(twice)
+    warm.run_line("H(a); H(e);")
+    warm.run_line("demux(a & e, x);")      # 6 fork paths
+    cold = corpus_session(corpus, 4)
+    cold.run_source(twice)
+    cold.machine.amp[:] = warm.machine.amp
+    walked = len(bodies)
+    error = run_both(warm, cold, "twice(a & e, x);")
+    # the warm session replays the first call and walks the second; the cold
+    # session walks both
+    assert bodies[walked:] == ["twice", "demux", "twice", "demux", "demux"]
+    assert error == "runtime error at 5:5: forking exceeded 8 classical paths"
+
+
+def test_calls_with_output_are_walked_every_time(corpus, bodies):
+    s = corpus_session(corpus, 2)
+    s.run_source("qufunct calls(qureg x) { inc(x); pr(x); inc(x); }")
+    for _ in range(2):
+        s.run_line("calls(x);")
+    assert session_output(s) == "2\n2\n"
+    assert bodies == ["calls", "inc", "pr", "calls", "pr"]     # inc replays
+    assert len(s.prog.tapes) == 1
+
+
+@pytest.mark.parametrize("body,out", [("print 1;", "1\n1\n0\n"), ("real r = random();", "0\n"),
+                                      ("measure x;", "0\n"), ("p();", "2\n")])
+def test_unchecked_calls_with_effects_are_walked_every_time(body, out):
+    prog, printed = run_unchecked("int g = 0; procedure p() { g = g + 1; } qureg q[1]; "
+                                  f"operator f(qureg x) {{ H(x); {body} }} f(q); f(q); print g;")
+    assert not prog.tapes
+    assert printed == out
+
+
+def test_calls_recorded_for_an_adjoint_replay_their_record_only_tapes(corpus, bodies):
+    # loc runs in record-only mode inside both adjoints, with the same qubits
+    # allocated; its deferred free and its gates pass through the replay
+    warm = corpus_session(corpus, 2)
+    warm.run_source("qufunct nest2(qureg x) { qureg u[1]; loc(x); Not(u); Not(u); }")
+    warm.run_line("H(x); Rot(0.3, x[1]); H(a);")
+    warm.run_line("!nest(a, x);")
+    cold = corpus_session(corpus, 2)
+    cold.run_source("qufunct nest2(qureg x) { qureg u[1]; loc(x); Not(u); Not(u); }")
+    cold.machine.amp[:] = warm.machine.amp
+    walked = len(bodies)
+    assert run_both(warm, cold, "!nest2(x);") is None
+    assert bodies[walked:] == ["nest2", "nest2", "loc"]
 
 
 def test_enable_and_inversion_get_their_own_entries(corpus, bodies):
@@ -160,7 +323,7 @@ def test_signed_zero_angles_get_their_own_entries():
     s = make_session(qubits=4)
     s.run_source("operator r(qureg x, real t) { Rot(t, x); }")
     s.run_line("qureg q[1]; r(q, 0.0); r(q, -0.0);")
-    signs = sorted(math.copysign(1.0, tape[0].param) for tape in s.prog.tapes.values())
+    signs = sorted(math.copysign(1.0, tape.steps[0].param) for tape in s.prog.tapes.values())
     assert signs == [-1.0, 1.0]
 
 
