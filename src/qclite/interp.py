@@ -529,6 +529,8 @@ class Interpreter:
 
     def call_subroutine(self, name: str, arg_exprs, invert: bool,
                         ctx: ExecContext) -> None:
+        """Call a builtin or a routine.  An operator or qufunct call replays its
+        stored tape, or walks while its steps are logged and stores them."""
         args = [self.eval_expr(a, ctx) for a in arg_exprs]
         seen: set[int] = set()
         for a in args:
