@@ -31,22 +31,29 @@ size in a finally block.
 
 On those same wide states MachineState holds consecutive PHASE gates, or
 consecutive X gates, as a pending run, and apply_run applies the run in one
-step.  Every reader and writer of the amplitudes goes through the `amp`
-property, which flushes the run first: measure_register, is_empty_register,
-free_register, the grow in allocate_register, reset_state, print_terms (the
-echo) and format_dump, and any caller outside the module.  A gate of another
-kind flushes it too, and the interpreter flushes at the end of every
-statement, also one that raises.  Below 2^14 amplitudes apply_primitive applies
-each gate at once, and the amplitudes are those of earlier versions byte for
-byte.
+step.  An uncontrolled H there runs its butterfly at once but leaves out its
+factor 1/sqrt(2): apply_gate gets the gate's twin with param 1.0, and the
+machine counts the factor as pending.  The factors commute with every gate, so
+a gate of another kind flushes only the run, and flush() applies the run and
+then all pending factors in one multiply by 2^(-k/2), exact for even k.  Each
+H grows the norm by sqrt(2), so 2048 of them would overflow; the machine
+applies the factor as soon as it reaches 2^-32, with 64 pending.  Every reader
+and writer of the amplitudes goes through the `amp` property, which flushes
+first: measure_register, is_empty_register, free_register, the grow in
+allocate_register, reset_state, print_terms (the echo) and format_dump, and
+any caller outside the module.  The interpreter flushes at the end of every
+statement, also one that raises.  Below 2^14 amplitudes, and for a controlled
+H, apply_primitive applies each gate whole at once, and the amplitudes are
+those of earlier versions byte for byte.
 
 A PHASE run whose gates each add at most one literal to the literals all of
 them share is one multiply, over the view where the shared literals hold, by a
 table of factors indexed by the other qubits; it agrees with the gates applied
-one by one up to rounding, not bit for bit.  Warm and cold sessions still agree
-bit for bit, because a replayed tape and a walked body put the same gates
-through the same runs.  An X run of singly controlled gates whose composed
-basis map only permutes qubits is one data move, bit-identical to its gates.
+one by one up to rounding, not bit for bit, and so does a state with deferred
+H factors.  Warm and cold sessions still agree bit for bit, because a replayed
+tape and a walked body put the same gates through the same runs and flushes.
+An X run of singly controlled gates whose composed basis map only permutes
+qubits is one data move, bit-identical to its gates.
 Any other run goes through apply_gate a gate at a time.  A flush allocates no
 more than a singly controlled X does, two quarter-state copies, and nothing of
 state size outlives it: no table or index is kept between flushes.
@@ -121,7 +128,9 @@ class PrimitiveGate:
 
     PHASE has no target; it multiplies every amplitude where all controls hold
     (q: qubit q is 1, ~q: it is 0) by e^(i*param).  The other kinds act on the
-    target bit's amplitude pair wherever the controls hold.
+    target bit's amplitude pair wherever the controls hold.  H's param scales
+    its butterfly [[1, 1], [1, -1]]; None, the gate every program applies,
+    means 1/sqrt(2).
     """
 
     kind: str
@@ -153,7 +162,8 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     if kind == "X":
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind == "H":
-        return np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
+        s = _SQRT_HALF if param is None else param
+        return np.array([[s, s], [s, -s]], dtype=complex)
     if kind == "ROT":
         c, s = math.cos(param / 2.0), math.sin(param / 2.0)
         return np.array([[c, s], [-s, c]], dtype=complex)
@@ -237,7 +247,8 @@ def apply_gate(amp: np.ndarray, g: PrimitiveGate) -> None:
             np.add(v0, v1, out=v0, order="C")
             np.multiply(v1, -2.0, out=v1, order="C")
             np.add(v1, v0, out=v1, order="C")                  # a0 - a1
-            np.multiply(on, _SQRT_HALF, out=on, order="C")
+            if (scale := _SQRT_HALF if g.param is None else g.param) != 1.0:
+                np.multiply(on, scale, out=on, order="C")
         elif g.kind == "X":
             v0, v1 = halves
             v0[...], v1[...] = v1, v0.copy()     # the right side is built first
@@ -264,12 +275,17 @@ def _phase_run(amp: np.ndarray, run) -> bool:
     each extra qubit.  A table holds the products over up to n-2 of those
     qubits (a quarter of the state), built by doubling: bit j of its index is
     its j-th lowest qubit.  More extra qubits take one multiply per table.
+    A gate that holds q and ~q changes nothing and is dropped; only a run with
+    a ~q literal is searched for one.
     """
-    run = [g for g in run if not any(~c in g.controls for c in g.controls)]
-    if not run:
-        return True
     # a list: on CPython 3.11 unpacking a generator here grows the RSS flush after flush
-    common = frozenset.intersection(*[g.controls for g in run])
+    controls = [g.controls for g in run]
+    if min(frozenset().union(*controls), default=0) < 0:    # a gate may hold q and ~q
+        run = [g for g in run if not any(~c in g.controls for c in g.controls)]
+        if not run:
+            return True
+        controls = [g.controls for g in run]
+    common = frozenset.intersection(*controls)
     const, factors = 1.0, {}
     for g in run:
         rest = g.controls - common
@@ -283,7 +299,7 @@ def _phase_run(amp: np.ndarray, run) -> bool:
             const *= f
     qubits = sorted({c if c >= 0 else ~c for c in factors})
     width = max(amp.size.bit_length() - 3, 1)
-    buf = np.empty(1 << width, dtype=complex)
+    buf = np.empty(1 << min(len(qubits), width), dtype=complex)
     bufsize = np.setbufsize(_GATE_BUFSIZE) if amp.size >= _SCOPED_BUFFER_SIZE else None
     try:
         for start in range(0, max(len(qubits), 1), width):
@@ -388,6 +404,13 @@ def _permute_run(amp: np.ndarray, run) -> bool:
 
 
 _FUSED = {"PHASE": _phase_run, "X": _permute_run}
+_MAX_HALVINGS = 64      # the pending H factor is applied once it reaches 2^-32
+
+
+@functools.lru_cache(maxsize=64)
+def _butterfly(target: int) -> PrimitiveGate:
+    """The uncontrolled H on `target` without its 1/sqrt(2)."""
+    return PrimitiveGate("H", 1.0, target, frozenset())
 
 
 def apply_run(amp: np.ndarray, run) -> None:
@@ -428,6 +451,7 @@ class MachineState:
         self.dense_limit = min(dense_limit, total_qubits)
         self._amp = np.array([1.0 + 0.0j], dtype=complex)
         self._run: list[PrimitiveGate] = []     # gates of one kind not yet applied to _amp
+        self._halvings = 0                      # _amp is still to be scaled by 2^(-_halvings/2)
         self.materialized = 0
         self.allocated: set[int] = set()
         self.rng = np.random.default_rng(seed)
@@ -445,7 +469,14 @@ class MachineState:
         self._amp = value
 
     def flush(self) -> None:
-        """Apply the pending run of gates."""
+        """Apply the pending run of gates, then the pending H factor."""
+        self._flush_run()
+        if self._halvings:
+            k, self._halvings = self._halvings, 0
+            np.multiply(self._amp, math.ldexp(_SQRT_HALF if k & 1 else 1.0, -(k >> 1)),
+                        out=self._amp)
+
+    def _flush_run(self) -> None:
         if self._run:
             run, self._run = self._run, []
             apply_run(self._amp, run)
@@ -499,9 +530,14 @@ class MachineState:
             apply_gate(self._amp, g)
         else:
             if self._run and self._run[0].kind != g.kind:
-                self.flush()
+                self._flush_run()
             if g.kind in _FUSED:
                 self._run.append(g)
+            elif g.kind == "H" and not g.controls:
+                apply_gate(self._amp, _butterfly(g.target))
+                self._halvings += 1
+                if self._halvings == _MAX_HALVINGS:
+                    self.flush()
             else:
                 apply_gate(self._amp, g)
         self.version += 1

@@ -184,7 +184,8 @@ def test_h_and_phase_allocate_no_buffers_on_16_qubits():
     # dict grows, and a growth step from about 450 entries allocates 39 KB.
     _gate_plan.cache_clear()
     amp = random_amplitudes(1 << 16, 1)
-    gates = [g("H", None, t) for t in range(16)]
+    # H with param 1.0 is the butterfly alone, as MachineState applies it on wide states
+    gates = [g("H", scale, t) for t in range(16) for scale in (None, 1.0)]
     gates += [g("PHASE", 0.1 * i, None, (i, j)) for i in range(16) for j in range(i)]
     peaks = {gate: peak_bytes(apply_gate, amp, gate) for gate in gates}
     worst = max(peaks, key=peaks.get)

@@ -501,15 +501,24 @@ def test_is_empty_matches_loop(case, confined):
 
 # -- pending runs on wide states -------------------------------------------------
 
-WIDE = 16           # 2^16 amplitudes: the machine holds runs of PHASE and of X gates
+WIDE = 16           # 2^16 amplitudes: the machine holds runs of PHASE and of X gates,
+                    # and the factor of its uncontrolled H gates
 
 
 def wide_run(kind):
-    """The 15 PHASE gates of a 16-qubit dft before its H on qubit 0, or the 24 X of flip."""
+    """The 15 PHASE gates of a 16-qubit dft before its H on qubit 0, the 24 X of
+    flip, or 15 uncontrolled H, an odd number of factors 1/sqrt(2)."""
     if kind == "PHASE":
         return [g("PHASE", math.pi / 2 ** (WIDE - j), None, (0, WIDE - j)) for j in range(1, WIDE)]
+    if kind == "H":
+        return [g("H", None, t) for t in range(1, WIDE)]
     return [g("X", None, t, (c,)) for i in range(WIDE // 2)
             for t, c in ((i, WIDE - 1 - i), (WIDE - 1 - i, i), (i, WIDE - 1 - i))]
+
+
+def pending(m):
+    """The gates a machine has not yet applied in full: its run and its H factors."""
+    return len(m._run) + m._halvings
 
 
 def pending_and_applied(kind):
@@ -521,13 +530,13 @@ def pending_and_applied(kind):
         m.allocate_register(WIDE)
         m.amp[: 1 << 12] = random_state(12, 4)
         machines.append(m)
-    pending, applied = machines
+    pending_machine, applied = machines
     for gate in wide_run(kind):
-        pending.apply_primitive(gate)
+        pending_machine.apply_primitive(gate)
         apply_gate(applied.amp, gate)
         applied.version += 1
-    assert len(pending._run) == len(wide_run(kind))
-    return pending, applied
+    assert pending(pending_machine) == len(wide_run(kind))
+    return pending_machine, applied
 
 
 def echo(m):
@@ -549,12 +558,12 @@ READS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["PHASE", "X"])
+@pytest.mark.parametrize("kind", ["PHASE", "X", "H"])
 @pytest.mark.parametrize("read", sorted(READS))
 def test_every_read_sees_the_pending_run(kind, read):
-    pending, applied = pending_and_applied(kind)
+    machine, applied = pending_and_applied(kind)
     results = []
-    for m in (pending, applied):
+    for m in (machine, applied):
         try:
             results.append(READS[read](m))
         except RegisterError as err:
@@ -562,26 +571,92 @@ def test_every_read_sees_the_pending_run(kind, read):
     mine, theirs = results
     if not isinstance(mine, np.ndarray):        # the amplitudes are compared below
         assert mine == theirs
-    assert not pending._run
-    assert pending.version == applied.version
-    assert pending.materialized == applied.materialized
+    assert not pending(machine)
+    assert machine.version == applied.version
+    assert machine.materialized == applied.materialized
     if kind == "X":
-        assert pending._amp.tobytes() == applied._amp.tobytes()
+        assert machine._amp.tobytes() == applied._amp.tobytes()
     else:
-        assert np.max(np.abs(pending._amp - applied._amp)) <= 1e-12
+        assert np.max(np.abs(machine._amp - applied._amp)) <= 1e-12
 
 
-def test_statement_that_raises_leaves_its_gates_applied():
+@pytest.mark.parametrize("body,gates", [("flip(x);", wide_run("X")),
+                                        ("H(x);", [g("H", None, t) for t in range(WIDE)])],
+                         ids=["X", "H"])
+def test_statement_that_raises_leaves_its_gates_applied(body, gates):
     s = Session(SessionConfig(total_qubits=WIDE + 4, echo=False), out=io.StringIO())
-    s.run_source("operator bad(qureg x, int k) { int d; flip(x); d = 1 / k; }")
+    s.run_source(f"operator bad(qureg x, int k) {{ int d; {body} d = 1 / k; }}")
     s.run_line(f"qureg q[{WIDE}];")
     s.machine.amp[: 1 << 12] = random_state(12, 4)
     expected = s.machine.amp.copy()
-    for gate in wide_run("X"):
+    for gate in gates:
         apply_gate(expected, gate)
     version = s.machine.version
     with pytest.raises(QclRuntimeError, match="division by zero"):
         s.run_line("bad(q, 0);")
-    assert not s.machine._run
-    assert s.machine._amp.tobytes() == expected.tobytes()
-    assert s.machine.version == version + len(wide_run("X"))
+    assert not pending(s.machine)
+    if body.startswith("flip"):
+        assert s.machine._amp.tobytes() == expected.tobytes()
+    else:
+        assert np.max(np.abs(s.machine._amp - expected)) <= 1e-12
+    assert s.machine.version == version + len(gates)
+
+
+def test_five_thousand_h_in_one_statement_stay_normalized():
+    # unnormalized, each H grows the norm by sqrt(2): 2048 of them would
+    # overflow, and their pending factor 2^-3000 would underflow
+    n = 15
+    s = Session(SessionConfig(total_qubits=n, echo=False), out=io.StringIO())
+    s.run_source("operator many(qureg x) { int i; for i = 1 to 335 { H(x); } }")
+    s.run_line(f"qureg q[{n}];")
+    s.machine.amp[:] = random_state(n, 8)
+    expected = s.machine.amp.copy()
+    for _ in range(335):
+        for t in range(n):
+            apply_gate(expected, g("H", None, t))
+    s.run_line("many(q);")
+    amp = s.machine.amp
+    assert np.isfinite(amp.view(np.float64)).all()
+    assert abs(np.linalg.norm(amp) - 1.0) <= 1e-12
+    assert np.max(np.abs(amp - expected)) <= 1e-12
+
+
+def mixed_tape(rng, n, length):
+    """Gates of every kind on n qubits, each with up to two literals as controls."""
+    tape = []
+    for _ in range(length):
+        kind = str(rng.choice(["H", "H", "PHASE", "X", "ROT"]))
+        qubits = [int(q) for q in rng.permutation(n)]
+        target = None if kind == "PHASE" else qubits.pop()
+        controls = [q if rng.random() < 0.7 else ~q for q in qubits[: rng.integers(0, 3)]]
+        param = float(rng.uniform(-3, 3)) if kind in ("PHASE", "ROT") else None
+        tape.append(g(kind, param, target, controls))
+    return tape
+
+
+@pytest.mark.parametrize("n,seed", [(14, 1), (15, 2), (16, 3)])
+def test_mixed_gates_on_wide_states_match_the_per_gate_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    m = MachineState(n, seed=seed)
+    m.allocate_register(n)
+    m.amp[:] = random_state(n, seed)
+    expected = m.amp.copy()
+    for k, gate in enumerate(mixed_tape(rng, n, 120)):
+        m.apply_primitive(gate)
+        apply_gate(expected, gate)
+        if k % 40 == 39:                      # flushes between the gates, too
+            assert np.max(np.abs(m.amp - expected)) <= 1e-12
+    assert np.max(np.abs(m.amp - expected)) <= 1e-12
+
+
+def test_h_below_two_to_the_fourteen_has_the_bytes_of_apply_gate():
+    n = 13
+    m = MachineState(n)
+    m.allocate_register(n)
+    m.amp[:] = random_state(n, 5)
+    expected = m.amp.copy()
+    for t in (0, 4, 12, 4):
+        m.apply_primitive(g("H", None, t))
+        apply_gate(expected, g("H", None, t))
+        assert not pending(m)
+    assert m.amp.tobytes() == expected.tobytes()

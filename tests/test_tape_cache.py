@@ -133,6 +133,26 @@ def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
     assert len(warm.prog.tapes) >= len(WIDE_LINES)
 
 
+def test_replayed_dft_matches_a_cold_session_on_16_qubits(corpus):
+    # the workload of fourier_wide: every H of dft is uncontrolled, so the
+    # machine defers their factor 1/sqrt(2) to the end of each statement
+    def session():
+        s = make_session(qubits=20)
+        s.run_source(corpus["dft.qcl"])
+        s.run_line("qureg q[16];")
+        return s
+
+    warm = session()
+    rng = np.random.default_rng(9)
+    warm.machine.amp[:] = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    warm.machine.amp /= np.linalg.norm(warm.machine.amp)
+    for _ in range(3):
+        cold = session()
+        cold.machine.amp[:] = warm.machine.amp
+        assert run_both(warm, cold, "dft(q); !dft(q);") is None
+    assert len(warm.prog.tapes) == 2
+
+
 # -- what is stored, and under which key ----------------------------------------------
 
 def test_pure_call_walks_its_body_once(corpus, bodies):
