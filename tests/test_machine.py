@@ -516,7 +516,7 @@ def wide_run(kind):
             for t, c in ((i, WIDE - 1 - i), (WIDE - 1 - i, i), (i, WIDE - 1 - i))]
 
 
-def pending(m):
+def unapplied(m):
     """The gates a machine has not yet applied in full: its run and its H factors."""
     return len(m._run) + m._halvings
 
@@ -530,13 +530,13 @@ def pending_and_applied(kind):
         m.allocate_register(WIDE)
         m.amp[: 1 << 12] = random_state(12, 4)
         machines.append(m)
-    pending_machine, applied = machines
+    pending, applied = machines
     for gate in wide_run(kind):
-        pending_machine.apply_primitive(gate)
+        pending.apply_primitive(gate)
         apply_gate(applied.amp, gate)
         applied.version += 1
-    assert pending(pending_machine) == len(wide_run(kind))
-    return pending_machine, applied
+    assert unapplied(pending) == len(wide_run(kind))
+    return pending, applied
 
 
 def echo(m):
@@ -561,9 +561,9 @@ READS = {
 @pytest.mark.parametrize("kind", ["PHASE", "X", "H"])
 @pytest.mark.parametrize("read", sorted(READS))
 def test_every_read_sees_the_pending_run(kind, read):
-    machine, applied = pending_and_applied(kind)
+    pending, applied = pending_and_applied(kind)
     results = []
-    for m in (machine, applied):
+    for m in (pending, applied):
         try:
             results.append(READS[read](m))
         except RegisterError as err:
@@ -571,35 +571,35 @@ def test_every_read_sees_the_pending_run(kind, read):
     mine, theirs = results
     if not isinstance(mine, np.ndarray):        # the amplitudes are compared below
         assert mine == theirs
-    assert not pending(machine)
-    assert machine.version == applied.version
-    assert machine.materialized == applied.materialized
+    assert not unapplied(pending)
+    assert pending.version == applied.version
+    assert pending.materialized == applied.materialized
     if kind == "X":
-        assert machine._amp.tobytes() == applied._amp.tobytes()
+        assert pending._amp.tobytes() == applied._amp.tobytes()
     else:
-        assert np.max(np.abs(machine._amp - applied._amp)) <= 1e-12
+        assert np.max(np.abs(pending._amp - applied._amp)) <= 1e-12
 
 
-@pytest.mark.parametrize("body,gates", [("flip(x);", wide_run("X")),
-                                        ("H(x);", [g("H", None, t) for t in range(WIDE)])],
-                         ids=["X", "H"])
-def test_statement_that_raises_leaves_its_gates_applied(body, gates):
-    s = Session(SessionConfig(total_qubits=WIDE + 4, echo=False), out=io.StringIO())
-    s.run_source(f"operator bad(qureg x, int k) {{ int d; {body} d = 1 / k; }}")
-    s.run_line(f"qureg q[{WIDE}];")
-    s.machine.amp[: 1 << 12] = random_state(12, 4)
-    expected = s.machine.amp.copy()
-    for gate in gates:
-        apply_gate(expected, gate)
-    version = s.machine.version
-    with pytest.raises(QclRuntimeError, match="division by zero"):
-        s.run_line("bad(q, 0);")
-    assert not pending(s.machine)
-    if body.startswith("flip"):
-        assert s.machine._amp.tobytes() == expected.tobytes()
-    else:
-        assert np.max(np.abs(s.machine._amp - expected)) <= 1e-12
-    assert s.machine.version == version + len(gates)
+def test_statement_that_raises_leaves_its_gates_applied():
+    # the X of flip wait in a pending run, the factors of the H in a pending scale
+    for body, gates in (("flip(x);", wide_run("X")),
+                        ("H(x);", [g("H", None, t) for t in range(WIDE)])):
+        s = Session(SessionConfig(total_qubits=WIDE + 4, echo=False), out=io.StringIO())
+        s.run_source(f"operator bad(qureg x, int k) {{ int d; {body} d = 1 / k; }}")
+        s.run_line(f"qureg q[{WIDE}];")
+        s.machine.amp[: 1 << 12] = random_state(12, 4)
+        expected = s.machine.amp.copy()
+        for gate in gates:
+            apply_gate(expected, gate)
+        version = s.machine.version
+        with pytest.raises(QclRuntimeError, match="division by zero"):
+            s.run_line("bad(q, 0);")
+        assert not unapplied(s.machine)
+        if body.startswith("flip"):
+            assert s.machine._amp.tobytes() == expected.tobytes()
+        else:
+            assert np.max(np.abs(s.machine._amp - expected)) <= 1e-12
+        assert s.machine.version == version + len(gates)
 
 
 def test_five_thousand_h_in_one_statement_stay_normalized():
@@ -658,5 +658,5 @@ def test_h_below_two_to_the_fourteen_has_the_bytes_of_apply_gate():
     for t in (0, 4, 12, 4):
         m.apply_primitive(g("H", None, t))
         apply_gate(expected, g("H", None, t))
-        assert not pending(m)
+        assert not unapplied(m)
     assert m.amp.tobytes() == expected.tobytes()

@@ -108,7 +108,7 @@ def test_warm_cache_matches_cold_session(corpus, width, seed, lines):
     assert warm.prog.tapes or None not in errors
 
 
-WIDE_LINES = ("dft(x);", "!dft(x);", "dft(x[0:5]);", "cinc(x, e);",
+WIDE_LINES = ("dft(x);", "!dft(x);", "dft(x); !dft(x);", "dft(x[0:5]);", "cinc(x, e);",
               *(GUARDS[k].format("inc(x);") for k in range(3)),
               "demux(a & e, x);", "!demux(a & e, x);",
               "scratch_parity(x, y, s); !scratch_parity(x, y, s);",
@@ -118,7 +118,8 @@ WIDE_LINES = ("dft(x);", "!dft(x);", "dft(x[0:5]);", "cinc(x, e);",
 
 def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
     # 2^16 amplitudes: the machine holds runs of PHASE and X gates and fuses
-    # them, on the replayed tapes and on the walked bodies alike
+    # them, and defers the factor of every uncontrolled H to the flush that
+    # ends each statement, on the replayed tapes and on the walked bodies alike
     warm = corpus_session(corpus, 12, qubits=20)
     machine = warm.machine
     rng = np.random.default_rng(7)
@@ -131,26 +132,6 @@ def test_warm_cache_matches_cold_session_on_a_wide_state(corpus):
         assert run_both(warm, cold, line) is None
         assert machine.materialized == 16
     assert len(warm.prog.tapes) >= len(WIDE_LINES)
-
-
-def test_replayed_dft_matches_a_cold_session_on_16_qubits(corpus):
-    # the workload of fourier_wide: every H of dft is uncontrolled, so the
-    # machine defers their factor 1/sqrt(2) to the end of each statement
-    def session():
-        s = make_session(qubits=20)
-        s.run_source(corpus["dft.qcl"])
-        s.run_line("qureg q[16];")
-        return s
-
-    warm = session()
-    rng = np.random.default_rng(9)
-    warm.machine.amp[:] = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
-    warm.machine.amp /= np.linalg.norm(warm.machine.amp)
-    for _ in range(3):
-        cold = session()
-        cold.machine.amp[:] = warm.machine.amp
-        assert run_both(warm, cold, "dft(q); !dft(q);") is None
-    assert len(warm.prog.tapes) == 2
 
 
 # -- what is stored, and under which key ----------------------------------------------
