@@ -1,10 +1,10 @@
 """Tree-walking interpreter: classical evaluation, calls, tapes and uncomputation.
 
 Every primitive gate flows through the execution context's emit hook, which
-adds the active enable controls, records the gate on the current tape and
-applies it to the machine unless the context is in a deferred (record-only)
-mode.  Inverted calls record the callee's tape first and then apply its
-adjoint; subroutines with a quscratch parameter are rewritten on the fly into
+adds the active enable controls, applies the gate unless the context is in a
+deferred (record-only) mode and logs it while a call is being recorded.
+Inverted calls record the callee first and then apply the adjoint of its
+gates; subroutines with a quscratch parameter are rewritten on the fly into
 compute / copy-out / uncompute form with a transparently allocated auxiliary
 register.
 
@@ -18,23 +18,24 @@ a worklist owned by `Interpreter.run_body`; each branch runs the rest of the
 body on a copy of the block stack and its scopes, then-path first and depth
 first, under its branch condition's enable.
 
-Operator and qufunct calls replay recorded tapes.  A tape is the ordered list
-of machine steps that one call made: the gates it applied, the registers it
-allocated and freed (its local `qureg`s, quscratch auxiliaries and synthesized
-enables), and the emptiness checks it ran, each with its error message and,
-for a step inside the body, the position of the body statement a failure is
-reported at.  It also holds what the call handed its caller: the gates and
-deferred frees it added to the caller's `Recorder` in record-only mode, and
-its fork paths.  Tapes are kept on the `ProgramState` under a key of the
-routine, the invert flag, the calling context's enable, guard and apply mode,
-the allocation state (`allocated` and `materialized`, which fix the qubits
-every allocation returns) and the argument values (a register by its qubits,
-a classical value by its type and bits).  A later call with
-the same key skips the body and pushes every step through the machine again,
-so every check and every free still runs and fails as the body would.  The
-key is complete because operator, qufunct and function bodies are pure: they
-resolve names through `ProgramState.consts`, which holds only the global
-constants, never global variables or registers, and a fork on a quantum
+Operator and qufunct calls replay recorded tapes.  A tape is the part of the
+step log (`ProgramState.log`) that one call made: the gates it emitted,
+the registers it allocated and freed (its local `qureg`s, quscratch
+auxiliaries and synthesized enables), and the emptiness checks it ran, each
+with its error message and, for a step inside the body, the position of the
+body statement a failure is reported at.  An inverted call's recorded gates
+leave the log once their adjoint is emitted; its allocations stay.  The tape
+also holds the frees the call deferred to the caller's `Recorder` in
+record-only mode, and its fork paths.  Tapes are kept on the `ProgramState`
+under a key of the routine, the invert flag, the calling context's enable,
+guard and apply mode, the allocation state (`allocated` and `materialized`,
+which fix the qubits every allocation returns) and the argument values (a
+register by its qubits, a classical value by its type and bits).  A later call
+with the same key skips the body and pushes every step through the machine
+again, so every check and every free still runs and fails as the body
+would.  The key is complete because operator, qufunct and function bodies are
+pure: they resolve names through `ProgramState.consts`, which holds only the
+global constants, never global variables or registers, and a fork on a quantum
 condition runs every path.  Procedures, calls that measure, reset, print or
 draw `random()`, and calls whose recorded forks would take the statement past
 `FORK_PATH_LIMIT` walk their bodies every time.  Rebinding a routine or a
@@ -140,12 +141,11 @@ def _fork_path(path: list, stmts, opener) -> list:
 
 
 class Recorder:
-    """One tape-recording session plus registers whose release is deferred."""
+    """The registers a record-only run left for its caller to free, in order."""
 
-    __slots__ = ("gates", "temps")
+    __slots__ = ("temps",)
 
     def __init__(self):
-        self.gates: list[PrimitiveGate] = []
         self.temps: list[RegisterMap] = []
 
 
@@ -181,12 +181,11 @@ class ExecContext:
                 raise RegisterError(
                     "a conditioned block may not operate on its condition qubits")
         realized = PrimitiveGate(g.kind, g.param, g.target, controls)
-        self.recorder.gates.append(realized)
+        prog = self.prog
         if self.apply:
-            prog = self.prog
             prog.machine.apply_primitive(realized)
-            if prog.recording:
-                prog.log.append(realized)
+        if prog.recording:
+            prog.log.append(realized)
         return realized
 
     def emit(self, kind: str, param, target, controls) -> PrimitiveGate:
@@ -256,15 +255,14 @@ def _placed(err: QclRuntimeError, at):
 class Tape(NamedTuple):
     """What one call did: its machine steps, in order, and what it handed its caller.
 
-    A step is a gate to apply, or `(fn, arg, message, at)` for `fn` one of
-    `_allocate`, `_free` and `_check`, where `at` is the body statement a
-    failure is reported at, or None for the call's own position.  `gates` and
-    `temps` are the gates and deferred frees a record-only call added to the
-    caller's recorder; `forks` counts its fork paths.
+    A step is a gate, or `(fn, arg, message, at)` for `fn` one of `_allocate`,
+    `_free` and `_check`, where `at` is the body statement a failure is
+    reported at, or None for the call's own position.  A record-only call's
+    gates are recorded, not applied.  `temps` are the frees a record-only call
+    deferred to the caller's recorder; `forks` counts its fork paths.
     """
 
     steps: tuple
-    gates: tuple
     temps: tuple
     forks: int
 
@@ -284,7 +282,7 @@ class ProgramState:
         self.checks = checks
         self.rng = machine.rng
         self.tapes: dict[tuple, Tape] = {}
-        self.tape_gates = 0     # stored steps, gates and deferred frees
+        self.tape_gates = 0     # stored steps and deferred frees
         # the calls being recorded, innermost last, share one log of machine steps;
         # in it a step's `at` is `where()` when the step ran
         self.recording = 0
@@ -315,7 +313,7 @@ class ProgramState:
 
     def store_tape(self, key: tuple, tape: Tape) -> None:
         """Keep a call's tape while both caps allow; never evict."""
-        size = len(tape.steps) + len(tape.gates) + len(tape.temps)
+        size = len(tape.steps) + len(tape.temps)
         if (len(self.tapes) < TAPE_CACHE_ENTRIES
                 and self.tape_gates + size <= TAPE_CACHE_GATES):
             self.tapes[key] = tape
@@ -561,38 +559,51 @@ class Interpreter:
         if tape is not None and ctx.fork_cell[0] + tape.forks <= FORK_PATH_LIMIT:
             self._replay(tape, ctx)
             return
-        recorder = ctx.recorder
-        depth, start, frame = prog.recording, len(prog.log), len(prog.frames)
-        gates, temps, forks = len(recorder.gates), len(recorder.temps), ctx.fork_cell[0]
+        frame, temps, forks = len(prog.frames), len(ctx.recorder.temps), ctx.fork_cell[0]
+        steps, tainted = self.record(self._call, decl, args, invert, ctx)
+        if not tainted:
+            prog.store_tape(key, Tape(
+                tuple(step if step.__class__ is PrimitiveGate
+                      else (*step[:3], _inside(step[3], frame)) for step in steps),
+                tuple(ctx.recorder.temps[temps:]), ctx.fork_cell[0] - forks))
+
+    def record(self, run, *args, keep_gates: bool = True) -> tuple[list, bool]:
+        """Call `run(*args)` with the step log on.  Return the steps it logged and
+        whether it had an effect no tape replays; unless `keep_gates`, its gates
+        then leave the log and its other steps stay."""
+        prog = self.prog
+        depth, log, start = prog.recording, prog.log, len(prog.log)
         prog.recording += 1
         try:
-            self._call(decl, args, invert, ctx)
-            if prog.tainted <= depth:
-                steps = tuple(step if step.__class__ is PrimitiveGate
-                              else (*step[:3], _inside(step[3], frame))
-                              for step in prog.log[start:])
-                prog.store_tape(key, Tape(
-                    steps, () if ctx.apply else tuple(recorder.gates[gates:]),
-                    tuple(recorder.temps[temps:]), ctx.fork_cell[0] - forks))
+            run(*args)
+            steps = log[start:]
+            if not keep_gates:
+                log[start:] = [step for step in steps if step.__class__ is not PrimitiveGate]
+            return steps, prog.tainted > depth
         finally:
             prog.recording = depth
             prog.tainted = min(prog.tainted, depth)
             if not depth:
-                prog.log.clear()
+                log.clear()
 
     def _call(self, decl: ast.Routine, args, invert: bool, ctx: ExecContext) -> None:
         """Walk a call: bind its parameters and run its body, or record the body
-        and apply the adjoint of its tape."""
+        and apply the adjoint of its gates."""
         if invert:
-            sub = ctx.child(recorder=Recorder(), apply=False)
-            self._enter_routine(decl, args, sub)
-            for g in adjoint_of_tape(sub.recorder.gates):
-                ctx.emit_gate(g)
-            for temp in sub.recorder.temps:
-                ctx.release_temp(temp)
-            self._scratch_exit_checks(decl, args, ctx)
+            self._call_inverted(partial(self._enter_routine, decl, args), ctx)
+            self._scratch_checks(decl, args, ctx, " after the call")
         else:
             self._enter_routine(decl, args, ctx)
+
+    def _call_inverted(self, run, ctx: ExecContext) -> None:
+        """Record `run(sub)` in record-only mode, then emit the adjoint of its gates
+        and free the registers it deferred."""
+        sub = ctx.child(recorder=Recorder(), apply=False)
+        steps, _ = self.record(run, sub, keep_gates=False)
+        for g in adjoint_of_tape(step for step in steps if step.__class__ is PrimitiveGate):
+            ctx.emit_gate(g)
+        for temp in sub.recorder.temps:
+            ctx.release_temp(temp)
 
     def _replay(self, tape: Tape, ctx: ExecContext) -> None:
         """Push a stored tape's steps through the machine, as the walked call did."""
@@ -605,16 +616,14 @@ class Interpreter:
                             else (*step[:3], here if step[3] is None else (frame, step[3]))
                             for step in tape.steps)
         ctx.fork_cell[0] += tape.forks
-        machine = prog.machine
-        add = ctx.recorder.gates.append
+        machine, apply = prog.machine, ctx.apply
         for step in tape.steps:
             if step.__class__ is PrimitiveGate:
-                add(step)
-                machine.apply_primitive(step)
+                if apply:
+                    machine.apply_primitive(step)
             else:
                 fn, arg, message, at = step
                 fn(machine, arg, message, at)
-        ctx.recorder.gates.extend(tape.gates)
         ctx.recorder.temps.extend(tape.temps)
 
     def _call_builtin(self, b: Builtin, args, invert: bool, ctx: ExecContext) -> None:
@@ -627,17 +636,14 @@ class Interpreter:
             if qtype == "quvoid" and not invert:
                 self._check_empty(value.reg, f"quvoid argument of '{b.name}'", ctx)
         if invert:
-            sub = ctx.child(recorder=Recorder(), apply=False)
-            b.emitter(sub, cvals, regs)
-            for g in adjoint_of_tape(sub.recorder.gates):
-                ctx.emit_gate(g)
+            self._call_inverted(lambda sub: b.emitter(sub, cvals, regs), ctx)
         else:
             b.emitter(ctx, cvals, regs)
 
     def _enter_routine(self, decl: ast.Routine, args, ctx: ExecContext) -> None:
         level = LEVELS[decl.kind]
         env = Env(self.prog.global_env if level == LEVEL_PROCEDURE else self.prog.consts)
-        scratch_args: list[tuple[str, RegisterValue]] = []
+        scratch = False
         target: tuple[str, RegisterValue] | None = None
         for p, value in zip(decl.params, args):
             if p.is_quantum:
@@ -646,51 +652,43 @@ class Interpreter:
                         f"parameter '{p.name}' of '{decl.name}' needs a register")
                 bound = RegisterValue(value.reg, p.type)
                 env.define(p.name, bound)
-                if p.type == "quscratch":
-                    scratch_args.append((p.name, bound))
-                elif p.type == "quvoid":
+                scratch |= p.type == "quscratch"
+                if p.type == "quvoid":
                     target = (p.name, bound)
             else:
                 env.define(p.name, self._coerce(p.type, value))
         sub = ctx.child(level=level, env=env)
-        if scratch_args:
-            self._call_with_scratch(decl, sub, ctx, target, scratch_args)
+        if scratch:
+            self._call_with_scratch(decl, args, sub, ctx, target)
             return
         if target is not None:
             self._check_empty(target[1].reg,
                               f"quvoid argument '{target[0]}' of '{decl.name}'", ctx)
         self.run_body(decl, sub)
 
-    def _call_with_scratch(self, decl: ast.Routine, sub: ExecContext,
-                           ctx: ExecContext, target, scratch_args) -> None:
+    def _call_with_scratch(self, decl: ast.Routine, args, sub: ExecContext,
+                           ctx: ExecContext, target) -> None:
         """Uncompute scratch: run the body into an auxiliary register, copy the
         result out, then run the adjoint of the body to clear all junk."""
         name, tv = target
-        for sname, sv in scratch_args:
-            self._check_empty(sv.reg, f"quscratch argument '{sname}' of '{decl.name}'", ctx)
+        self._scratch_checks(decl, args, ctx)
         self._check_empty(tv.reg, f"quvoid argument '{name}' of '{decl.name}'", ctx)
         aux = ctx.alloc_temp(len(tv.reg))
         sub.env.define(name, RegisterValue(aux, "quvoid"))
-        inner = sub.child(recorder=Recorder(), apply=ctx.apply)
-        self.run_body(decl, inner)
-        ctx.recorder.gates.extend(inner.recorder.gates)
-        ctx.recorder.temps.extend(inner.recorder.temps)
+        steps, _ = self.record(self.run_body, decl, sub)
         for k in range(len(tv.reg)):
             ctx.emit("X", None, tv.reg.qubits[k], (aux.qubits[k],))
-        for g in adjoint_of_tape(inner.recorder.gates):
+        for g in adjoint_of_tape(step for step in steps if step.__class__ is PrimitiveGate):
             ctx.emit_gate(g)
-        for sname, sv in scratch_args:
-            self._check_empty(sv.reg, f"quscratch argument '{sname}' of '{decl.name}' "
-                                      f"after the call", ctx)
+        self._scratch_checks(decl, args, ctx, " after the call")
         self._check_empty(aux, "auxiliary register after uncomputation", ctx)
         ctx.release_temp(aux)
 
-    def _scratch_exit_checks(self, decl: ast.Routine, args, ctx: ExecContext) -> None:
+    def _scratch_checks(self, decl: ast.Routine, args, ctx: ExecContext, when="") -> None:
         for p, value in zip(decl.params, args):
-            if p.is_quantum and p.type == "quscratch":
-                self._check_empty(value.reg,
-                                  f"quscratch argument '{p.name}' of '{decl.name}' "
-                                  f"after the call", ctx)
+            if p.type == "quscratch":
+                message = f"quscratch argument '{p.name}' of '{decl.name}'{when}"
+                self._check_empty(value.reg, message, ctx)
 
     def _check_empty(self, reg: RegisterMap, what: str, ctx: ExecContext) -> None:
         if ctx.apply and self.prog.checks:

@@ -12,7 +12,7 @@ the sequence of gate targets the recorded tape must contain.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from qclite import ExecContext, Recorder, parse_interactive
+from qclite import ExecContext, PrimitiveGate, Recorder, parse_interactive
 from qclite.stdgates import LEVEL_PROCEDURE
 from conftest import make_session, permutation_of, routine_matrix
 
@@ -257,9 +257,10 @@ def recorded_targets(source, ns, nq):
     session.run_source(source)
     session.run_line(f"qureg s[{ns}]; qureg q[{nq}];")
     ctx = ExecContext(session.prog, LEVEL_PROCEDURE, session.prog.global_env, Recorder())
-    for stmt in parse_interactive("f(s, q);"):
-        session.interp.exec_stmt(stmt, ctx)
-    return [g.target - ns for g in ctx.recorder.gates if ns <= g.target < ns + nq]
+    (stmt,) = parse_interactive("f(s, q);")
+    steps, _ = session.interp.record(session.interp.exec_stmt, stmt, ctx)
+    return [g.target - ns for g in steps
+            if isinstance(g, PrimitiveGate) and ns <= g.target < ns + nq]
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclite import (CondAtom, CondBin, CondConst, CondNot, DirectPlan, ExecContext,
-                    Recorder, RegisterError, SynthPlan, ZhegalkinPoly, cond_truth,
-                    parse_interactive, synthesize_enable, tape_matrix, to_xdnf)
+                    PrimitiveGate, Recorder, RegisterError, SynthPlan, ZhegalkinPoly,
+                    cond_truth, parse_interactive, synthesize_enable, tape_matrix, to_xdnf)
 from qclite.machine import MachineState
 from qclite.stdgates import LEVEL_PROCEDURE
 from conftest import enable_column, is_subcube, make_session, routine_matrix
@@ -190,9 +190,9 @@ class TestConditionalizeTape:
         s.run_source(corpus["inc_cond.qcl"])
         s.run_line("qureg x[3]; qureg e[1];")
         ctx = ExecContext(s.prog, LEVEL_PROCEDURE, s.prog.global_env, Recorder(), apply=False)
-        for stmt in parse_interactive("if e { inc(x); }"):
-            s.interp.exec_stmt(stmt, ctx)
-        matrix = tape_matrix(ctx.recorder.gates, 4)
+        (stmt,) = parse_interactive("if e { inc(x); }")
+        steps, _ = s.interp.record(s.interp.exec_stmt, stmt, ctx)
+        matrix = tape_matrix([g for g in steps if isinstance(g, PrimitiveGate)], 4)
         expected = np.eye(16, dtype=complex)
         expected[8:, 8:] = inc_matrix
         assert np.max(np.abs(matrix - expected)) < 1e-9

@@ -22,7 +22,12 @@ EXTRA = ("qufunct loc(qureg x) { qureg t[1]; CNot(t, x[0]); CNot(x[1], t); CNot(
          "{ int n = 0; if p or q { n = 1; } Not(x[n]); }\n"
          "qufunct nest(quconst p, qureg x) { qureg u[1]; loc(x); CNot(u, p); "
          "fk(p, u, x); CNot(u, p); inc(x); }\n"
-         "qufunct pr(qureg x) { print #x; inc(x); }")
+         "qufunct pr(qureg x) { print #x; inc(x); }\n"
+         "cond qufunct mix(quconst p, quconst q, qureg x) "
+         "{ !loc(x); fk(p, q, x); !fk(p, q, x); !inc(x); }\n"
+         "qufunct smix(quconst p, quconst q, qureg x, qureg y, qureg s) "
+         "{ scratch_parity(x, y, s); !mix(p, q, x); }\n"
+         "operator omix(quconst p, quconst q, qureg x) { !dft(x); mix(p, q, x); dft(x); }")
 
 
 def corpus_session(corpus, width: int, qubits: int = 12, echo: bool = False):
@@ -69,11 +74,15 @@ def bodies(monkeypatch):
 # -- a warm cache changes nothing --------------------------------------------------
 
 # calls that allocate (a local register, a scratch auxiliary, a synthesized
-# enable), check and fork; demux(a & e, x) indexes past a short x and fails
+# enable), check and fork; demux(a & e, x) indexes past a short x and fails;
+# mix, smix and omix nest inverted calls and a scratch call, whose recorded
+# gates leave the log while their allocations stay
 ALLOCATING = ("demux(a, x);", "!demux(a, x);", "demux(a & e, x);", "!demux(a & e, x);",
               "scratch_parity(x, y, s);", "!scratch_parity(x, y, s);",
               "loc(x);", "!loc(x);", "fk(a, e, x);", "!fk(a, e, x);",
-              "nest(a, x);", "!nest(a, x);", "pr(x);")
+              "nest(a, x);", "!nest(a, x);", "pr(x);",
+              "mix(a, e, x);", "!mix(a, e, x);", "!smix(a, e, x, y, s);",
+              "omix(a, e, x);", "!omix(a, e, x);")
 PLAIN = ("inc(x);", "!inc(x);", "inc(x[0:1]);", "cinc(x, e);", "!cinc(x, e);",
          "parity(x, y); !parity(x, y);", "dft(x);", "!dft(x);", "dft(x[0:1]);", *ALLOCATING)
 # the cond routines
