@@ -2,11 +2,10 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-
-import tracemalloc
 
 from qclite import (ExecContext, PrimitiveGate, QclRuntimeError, Recorder, StaticErrorList,
                     adjoint_of_tape, parse_interactive, tape_matrix)
